@@ -22,7 +22,7 @@ from .comb import comb_reports
 from .config import load_config
 from .errors import ConfigError, DrivenLevelError
 from .kernel import kernel_for
-from .spectral import Semicircle, compute_u0, find_bound_states
+from .spectral import compute_u0, find_bound_states
 from .svgplot import line_plot
 from .sweep import SweepAxis, SweepSpec, run_sweep
 from .traceio import write_trace
@@ -42,11 +42,6 @@ def _emit(path, write_fn):
 
 def _print_json(obj):
     print(json.dumps(obj, indent=2))
-
-
-def _make_kernel(sd, grid):
-    return kernel_for(sd, grid.h, grid.h * grid.n_steps,
-                      analytic=isinstance(sd, Semicircle))
 
 
 def _svg_from_traces(path, labeled_traces, title):
@@ -91,7 +86,8 @@ def cmd_evolve(cfg, args):
     cfg.require_grid()
     cfg.require_drive()
     grid = aligned_grid(0.0, cfg.t_max, cfg.h, cfg.drive)
-    trace = evolve(_make_kernel(cfg.sd, grid), cfg.eps_s, cfg.drive, grid)
+    trace = evolve(kernel_for(cfg.sd, grid.h, grid.h * grid.n_steps),
+                   cfg.eps_s, cfg.drive, grid)
 
     extra = None
     labeled = [(trace, "driven")]
@@ -127,7 +123,8 @@ def cmd_oracle_compare(cfg, args):
     cfg.require_grid()
     cfg.require_drive()
     grid = aligned_grid(0.0, cfg.t_max, cfg.h, cfg.drive)
-    trace = evolve(_make_kernel(cfg.sd, grid), cfg.eps_s, cfg.drive, grid)
+    trace = evolve(kernel_for(cfg.sd, grid.h, grid.h * grid.n_steps),
+                   cfg.eps_s, cfg.drive, grid)
     model = oracle.discretize(cfg.sd, cfg.n_modes, cfg.eps_s)
     ref = oracle.propagate(model, cfg.drive, grid)
     deviation = oracle.compare(trace, ref)

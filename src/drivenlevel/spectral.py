@@ -20,11 +20,13 @@ import numpy as np
 from scipy import integrate, optimize
 
 from .errors import QuadratureFailure, TooCloseToBandEdge
-from .oscquad import angle_band_integral, fourier_integral
+from .oscquad import angle_band_integral, fourier_integral, phase_sum
 
 EDGE_COLLAR = 1e-6          # roots this close to a band edge are spurious
 DERIVATIVE_FLOOR = 1e-9     # refuse derivative evaluation closer than this
 TOL_ROOT = 1e-12
+U0_BOUND_SLACK = 1e-6       # |u0| <= 1 by the sum rule; quadrature slack
+_SLAB = 1 << 21             # elements per temporary in the tabulated shift
 
 
 @dataclass(frozen=True)
@@ -112,10 +114,6 @@ class SystemSpectrum:
     sum_rule: float
 
 
-def band_intervals(sd):
-    return sd.band
-
-
 def is_decoupled(sd):
     """True when J vanishes identically (no reservoir coupling)."""
     if isinstance(sd, Semicircle):
@@ -179,7 +177,7 @@ def _interval_nodes(sd, lo, hi):
 
 
 def _delta_tabulated(sd, eps):
-    """PV transform (1/2pi) P int J(e')/(eps - e') de', exactly.
+    """PV transform (1/2pi) P int J(e')/(eps - e') de', exactly (vectorized).
 
     A tabulated J is piecewise linear, and the Hilbert transform of a
     linear cell is elementary: with slope b and value c at eps (the cell's
@@ -188,18 +186,28 @@ def _delta_tabulated(sd, eps):
     log coefficients telescope to the jump in c across each node, which
     vanishes linearly where J is continuous, so the formula is the
     principal value everywhere and stays finite right through the band.
+    A scalar eps gives a float, an array an array of its shape.
     """
-    total = 0.0
+    eps = np.asarray(eps, dtype=float)
+    flat = eps.reshape(-1, 1)
+    total = np.zeros(flat.shape[0])
     for lo, hi in sd.band:
         x, jv = _interval_nodes(sd, lo, hi)
         dx = np.diff(x)
         b = np.diff(jv) / dx
-        c = jv[:-1] + b * (eps - x[:-1])
-        d = np.abs(eps - x)
-        # 0*log(0) at a node is the correct PV limit; mask the log
-        logs = np.where(d > 0.0, np.log(np.maximum(d, 1e-300)), 0.0)
-        total += float(np.sum(c * (logs[:-1] - logs[1:])) - np.sum(b * dx))
-    return total / (2.0 * np.pi)
+        step = max(1, _SLAB // x.size)
+        for i in range(0, flat.shape[0], step):
+            e = flat[i:i + step]
+            c = jv[:-1] + b * (e - x[:-1])
+            d = np.abs(e - x)
+            # 0*log(0) at a node is the correct PV limit; mask the log
+            logs = np.where(d > 0.0, np.log(np.maximum(d, 1e-300)), 0.0)
+            total[i:i + step] += (np.sum(c * (logs[:, :-1] - logs[:, 1:]),
+                                         axis=1) - np.sum(b * dx))
+    total /= 2.0 * np.pi
+    if eps.ndim == 0:
+        return float(total[0])
+    return total.reshape(eps.shape)
 
 
 def self_energy(sd, eps):
@@ -311,8 +319,7 @@ def band_spectral_function(sd, eps_on, eps):
     if isinstance(sd, Semicircle):
         delta = np.asarray(_delta_semicircle(sd, eps))
     else:
-        delta = np.array([_delta_tabulated(sd, float(e)) for e in np.atleast_1d(eps)])
-        delta = delta.reshape(eps.shape)
+        delta = _delta_tabulated(sd, eps)
     denom = (eps - eps_on - delta) ** 2 + 0.25 * j * j
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(j > 0.0, j / denom, 0.0)
@@ -329,7 +336,7 @@ def _band_resonances(sd, eps_on):
         if isinstance(sd, Semicircle):
             vals = grid - eps_on - _delta_semicircle(sd, grid)
         else:
-            vals = np.array([g - eps_on - _delta_tabulated(sd, g) for g in grid])
+            vals = grid - eps_on - _delta_tabulated(sd, grid)
         sign = np.sign(vals)
         for i in np.nonzero(np.diff(sign) != 0)[0]:
             f = lambda e: e - eps_on - self_energy(sd, e).delta
@@ -376,16 +383,18 @@ def compute_u0(sd, eps_on, times, tol=1e-8):
     """Drive-free survival amplitude u0 at the given times (t0 = 0).
 
     Sum of bound-state phases Z_l exp(-i eps_l t) plus the oscillatory
-    continuum integral over each band interval.
+    continuum integral over each band interval.  u0 is an overlap of two
+    normalized states, so a non-finite value or max|u0| above 1 (plus
+    U0_BOUND_SLACK) means the quadrature failed and raises
+    QuadratureFailure.
     """
     times = np.asarray(times, dtype=float)
     if is_decoupled(sd):
         out = np.exp(-1j * eps_on * times)
         return out
     bound = find_bound_states(sd, eps_on)
-    out = np.zeros(times.shape, dtype=complex)
-    for s in bound:
-        out += s.residue * np.exp(-1j * s.energy * times)
+    out = phase_sum([s.energy for s in bound], [s.residue for s in bound],
+                    times)
     for lo, hi in sd.band:
         f = lambda e: band_spectral_function(sd, eps_on, e)
         # the continuum weight vanishes like sqrt at semicircle edges, which
@@ -396,4 +405,8 @@ def compute_u0(sd, eps_on, times, tol=1e-8):
         else:
             part = fourier_integral(f, lo, hi, times, tol=tol)
         out += part / (2.0 * np.pi)
+    peak = np.max(np.abs(out), initial=0.0)
+    if not peak <= 1.0 + U0_BOUND_SLACK:
+        raise QuadratureFailure(
+            f"u0 breaks |u0| <= 1: max|u0| = {peak!r}")
     return out

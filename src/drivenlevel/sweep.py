@@ -3,14 +3,16 @@
 Each grid point gets a full treatment: comb prediction from the static
 bound states, a two-resolution evolve for the survival metric plus its
 convergence estimate.  Rows stream to CSV in spec order as points finish,
-so an interrupted sweep resumes by skipping the rows already on disk; a
-JSON sidecar pins the spec hash so a stale file is never extended.
+so an interrupted sweep resumes by skipping the rows already on disk (a row
+torn by a killed writer is cut off and recomputed); a JSON sidecar pins the
+spec hash so a stale file is never extended.
 
 Points are independent, so they fan out over a process pool; the writer
 keeps spec order regardless of completion order.
 """
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -149,12 +151,8 @@ def evaluate_point(payload):
             prediction, min_order = "no-bound-state", ""
 
         grid = aligned_grid(0.0, t_max, h, drive_pt)
-
-        def make_kernel(step, max_lag):
-            return kernel_for(sd_pt, step, max_lag,
-                              analytic=isinstance(sd_pt, Semicircle))
-
-        fine, est = convergence_check(make_kernel, eps_s, drive_pt, grid)
+        fine, est = convergence_check(functools.partial(kernel_for, sd_pt),
+                                      eps_s, drive_pt, grid)
         t = fine.times()
         mask = (t >= window[0] - 1e-9) & (t <= window[1] + 1e-9)
         metric = float(np.trapezoid(np.abs(fine.values[mask]), t[mask])
@@ -187,20 +185,47 @@ def _check_sidecar(spec, sidecar_path):
         meta = {"format": SIDECAR_FORMAT, "spec_hash": want,
                 "columns": list(spec.columns()),
                 "n_points": spec.n_points()}
-        with open(sidecar_path, "w") as fh:
+        tmp = sidecar_path + ".partial"
+        with open(tmp, "w") as fh:
             json.dump(meta, fh, sort_keys=True, indent=1)
             fh.write("\n")
+        os.replace(tmp, sidecar_path)
+
+
+def _row_ends(data):
+    """Byte offsets just past each record's closing newline.
+
+    A newline inside a quoted cell does not end a record (quotes toggle,
+    doubled quotes cancel out).
+    """
+    ends, pos, quoted = [], 0, False
+    for line in data.split(b"\n")[:-1]:
+        pos += len(line) + 1
+        quoted ^= line.count(b'"') % 2 == 1
+        if not quoted:
+            ends.append(pos)
+    return ends
 
 
 def _completed_rows(path, spec):
-    """Rows already on disk, validating the header."""
-    if not os.path.exists(path) or os.path.getsize(path) == 0:
+    """(rows, bytes) of the complete rows on disk, validating the header.
+
+    Only newline-terminated records count: a killed writer can leave a torn
+    last row, which the caller cuts off at the returned byte length before
+    appending.  None when there is nothing but (part of) a header to keep.
+    """
+    if not os.path.exists(path):
         return None
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != ",".join(spec.columns()):
-            raise ConfigError(f"{path} header does not match this sweep")
-        return sum(1 for line in fh if line.strip())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    header = (",".join(spec.columns()) + "\n").encode()
+    ends = _row_ends(data)
+    if not ends and header.startswith(data):
+        return None
+    if not ends or data[:ends[0]] != header:
+        raise ConfigError(f"{path} header does not match this sweep")
+    rows = sum(1 for a, b in zip(ends, ends[1:]) if data[a:b].strip())
+    return rows, ends[-1]
 
 
 def run_sweep(spec, workers=None):
@@ -210,12 +235,17 @@ def run_sweep(spec, workers=None):
     process.
     """
     _check_sidecar(spec, spec.out_path + ".json")
-    done = _completed_rows(spec.out_path, spec)
+    complete = _completed_rows(spec.out_path, spec)
     points = list(spec.points())
-    if done is None:
+    if complete is None:
         with open(spec.out_path, "w") as fh:
             fh.write(",".join(spec.columns()) + "\n")
         done = 0
+    else:
+        done, size = complete
+        if os.path.getsize(spec.out_path) > size:
+            with open(spec.out_path, "r+b") as fh:
+                fh.truncate(size)
     if done > len(points):
         raise ConfigError(
             f"{spec.out_path} holds {done} rows but the sweep has only "

@@ -2,9 +2,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from drivenlevel import oscquad, spectral
 from drivenlevel.errors import QuadratureFailure
 from drivenlevel.oscquad import (angle_band_integral, filon_coefficients,
-                                 filon_integral, fourier_integral)
+                                 filon_integral, fourier_integral, phase_sum)
 
 
 def mp_phase_integral(f, a, b, t, dps=40):
@@ -107,3 +108,93 @@ def test_fourier_integral_budget_exhaustion():
         # sqrt edges defeat the uniform rule at this tolerance
         fourier_integral(f, -1.0, 1.0, np.array([5.0]), tol=1e-13,
                          n_max=1 << 10)
+
+
+def direct_phase_sum(x, w, t):
+    """Reference: the phase matrix in full, then one product."""
+    return np.exp(-1j * np.outer(t, x)) @ w
+
+
+def random_nodes(m, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-4.0, 4.0, m)
+    w = rng.normal(size=m) + 1j * rng.normal(size=m)
+    return x, w
+
+
+def rel_dev(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.fixture
+def blocked_calls(monkeypatch):
+    """Count the calls that take the uniform-t blocked path."""
+    calls = []
+    blocked = oscquad._blocked_phase_sum
+
+    def spy(*args):
+        calls.append(args[2].size)
+        return blocked(*args)
+
+    monkeypatch.setattr(oscquad, "_blocked_phase_sum", spy)
+    return calls
+
+
+@pytest.mark.parametrize("t0, h, n", [
+    (0.0, 0.01, 6001),      # solver grid from the origin
+    (3.7, 0.013, 2500),     # t0 != 0, n = 50**2 fills every block
+    (-40.0, 0.02, 4001),    # negative and positive times
+    (-0.5, 0.1, 1001),      # n not a multiple of the block length
+    (60.0, -0.03, 2000),    # descending times
+])
+def test_phase_sum_uniform_matches_direct(t0, h, n, blocked_calls):
+    x, w = random_nodes(700)
+    t = t0 + h * np.arange(n)
+    got = phase_sum(x, w, t)
+    assert got.shape == t.shape
+    assert rel_dev(got, direct_phase_sum(x, w, t)) <= 1e-12
+    assert blocked_calls == [n]
+
+
+def test_phase_sum_short_and_scalar_times(blocked_calls):
+    x, w = random_nodes(300, seed=1)
+    t = 0.25 + 0.01 * np.arange(10)     # uniform but below the cutoff
+    assert rel_dev(phase_sum(x, w, t), direct_phase_sum(x, w, t)) <= 1e-12
+    one = phase_sum(x, w, 17.5)
+    assert np.ndim(one) == 0
+    assert rel_dev(np.atleast_1d(one),
+                   direct_phase_sum(x, w, [17.5])) <= 1e-12
+    assert phase_sum(x, w, np.empty(0)).shape == (0,)
+    assert blocked_calls == []
+
+
+def test_phase_sum_nonuniform_takes_direct_path(blocked_calls):
+    x, w = random_nodes(400, seed=2)
+    t = np.sort(np.random.default_rng(3).uniform(-50.0, 150.0, 3000))
+    got = phase_sum(x, w, t)
+    assert rel_dev(got, direct_phase_sum(x, w, t)) <= 1e-12
+    # one time off the grid by far more than roundoff
+    grid = 0.01 * np.arange(3000)
+    grid[1234] += 1e-9
+    assert rel_dev(phase_sum(x, w, grid),
+                   direct_phase_sum(x, w, grid)) <= 1e-12
+    assert blocked_calls == []
+
+
+def test_phase_sum_slabs_bound_memory(monkeypatch, blocked_calls):
+    # a slab budget far below the node count forces several node slabs
+    monkeypatch.setattr(oscquad, "_SLAB", 5000)
+    x, w = random_nodes(1500, seed=4)
+    t = 1.0 + 0.05 * np.arange(5000)
+    assert rel_dev(phase_sum(x, w, t), direct_phase_sum(x, w, t)) <= 1e-12
+    assert blocked_calls == [5000]
+
+
+def test_u0_readme_run_matches_direct_path(monkeypatch):
+    # the README's run: semicircle eta 1, level at 2.5, t <= 200, h = 0.01
+    sd = spectral.Semicircle(eta=1.0)
+    t = 0.01 * np.arange(20001)
+    fast = spectral.compute_u0(sd, 2.5, t)
+    monkeypatch.setattr(oscquad, "_BLOCKED_MIN", t.size + 1)
+    direct = spectral.compute_u0(sd, 2.5, t)
+    assert rel_dev(fast, direct) <= 1e-12

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from drivenlevel import oracle
-from drivenlevel.errors import TooCloseToBandEdge
+from drivenlevel import oracle, spectral
+from drivenlevel.errors import QuadratureFailure, TooCloseToBandEdge
 from drivenlevel.spectral import (BoundState, Semicircle, Tabulated,
-                                  compute_u0, eval_j, find_bound_states,
+                                  band_spectral_function, compute_u0,
+                                  eval_j, find_bound_states,
                                   self_energy, self_energy_derivative,
                                   spectrum, total_weight)
 
@@ -229,3 +230,50 @@ def test_u0_fully_dissipating_decays():
     assert abs(u[0]) == pytest.approx(1.0, abs=1e-10)
     assert abs(u[1]) < 0.02
     assert abs(u[2]) < 0.01
+
+
+def two_band_table():
+    """Coarse two-band table with a gap, zero at every band edge."""
+    grid = (-3.0, -2.5, -2.0, -1.5, -1.0, 1.0, 1.4, 2.2, 3.0)
+    values = (0.0, 0.9, 1.4, 0.7, 0.0, 0.0, 1.1, 0.6, 0.0)
+    return Tabulated(grid, values, ((-3.0, -1.0), (1.0, 3.0)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_tabulated(eta=0.9, n=301)[1], two_band_table])
+def test_tabulated_shift_vectorized_matches_scalar(make):
+    sd = make()
+    # table nodes, band edges, gap and far-outside points included
+    eps = np.concatenate([np.linspace(-4.0, 4.0, 257), np.asarray(sd.grid)])
+    scalar = np.array([self_energy(sd, e).delta for e in eps])
+    vec = spectral._delta_tabulated(sd, eps)
+    assert vec.shape == eps.shape
+    assert np.max(np.abs(vec - scalar)) <= 1e-12 * np.max(np.abs(scalar))
+    assert isinstance(spectral._delta_tabulated(sd, 0.3), float)
+    grid2 = eps[:256].reshape(16, 16)
+    assert spectral._delta_tabulated(sd, grid2).shape == (16, 16)
+    bsf = band_spectral_function(sd, 0.2, eps)
+    bsf_scalar = np.array([band_spectral_function(sd, 0.2, e) for e in eps])
+    assert np.max(np.abs(bsf - bsf_scalar)) <= 1e-12 * np.max(bsf_scalar)
+
+
+def test_tabulated_shift_chunks_agree(monkeypatch):
+    sd = two_band_table()
+    eps = np.linspace(-3.5, 3.5, 1001)
+    whole = spectral._delta_tabulated(sd, eps)
+    monkeypatch.setattr(spectral, "_SLAB", 50)
+    assert np.max(np.abs(spectral._delta_tabulated(sd, eps) - whole)) <= 1e-15
+
+
+@pytest.mark.parametrize("bad", [2.0, np.nan])
+def test_u0_invariant_rejects_bad_quadrature(monkeypatch, bad):
+    sd = Semicircle(eta=1.0)
+    t = np.linspace(0.0, 20.0, 201)
+    good = compute_u0(sd, 2.5, t)
+    assert np.max(np.abs(good)) <= 1.0 + spectral.U0_BOUND_SLACK
+    # a continuum part inflated (or poisoned) by a broken quadrature
+    real = spectral.angle_band_integral
+    monkeypatch.setattr(spectral, "angle_band_integral",
+                        lambda *a, **k: bad * real(*a, **k))
+    with pytest.raises(QuadratureFailure):
+        compute_u0(sd, 2.5, t)

@@ -86,6 +86,31 @@ def test_resume_is_byte_identical(tmp_path):
     assert out.read_text() == full
 
 
+@pytest.mark.parametrize("row, keep", [(-1, 0.5), (-2, 0.3), (-1, 0.0)])
+def test_resume_after_torn_row_is_byte_identical(tmp_path, row, keep):
+    out = tmp_path / "s.csv"
+    spec = small_spec(out, axes=(SweepAxis("period", (1.25, 1.32, 1.4)),))
+    run_sweep(spec, workers=1)
+    full = out.read_bytes()
+    # a writer killed mid-row: everything after part of one row is lost
+    lines = full.splitlines(keepends=True)
+    cut = len(b"".join(lines[:row])) + int(keep * (len(lines[row]) - 1))
+    out.write_bytes(full[:cut])
+    assert run_sweep(spec, workers=1) == -row
+    assert out.read_bytes() == full
+    assert not (tmp_path / "s.csv.json.partial").exists()
+
+
+def test_torn_header_restarts(tmp_path):
+    out = tmp_path / "s.csv"
+    spec = small_spec(out)
+    run_sweep(spec, workers=1)
+    full = out.read_bytes()
+    out.write_bytes(full[:7])
+    assert run_sweep(spec, workers=1) == 2
+    assert out.read_bytes() == full
+
+
 def test_sidecar_guards_against_stale_output(tmp_path):
     out = tmp_path / "s.csv"
     run_sweep(small_spec(out), workers=1)
