@@ -21,6 +21,9 @@ from .oscquad import angle_band_integral, phase_sum
 from .spectral import Semicircle, eval_j, is_decoupled
 
 _LAG_ATOL = 1e-12
+# terms of the short-lag series; at s w <= 1 the first one dropped is
+# at most 1/22! of the zeroth
+_SERIES_TERMS = 22
 
 
 def _tabulated_transform(sd, lo, hi, s):
@@ -35,27 +38,41 @@ def _tabulated_transform(sd, lo, hi, s):
     the interpolant, so the kernel inherits only the tabulation error.  The
     sum regroups by node into slope jumps, so both terms are phase sums and
     the uniform lag grid takes `phase_sum`'s blocked path.
+
+    The 1/s^2 sum cancels from O(1) down to F as s w -> 0 (w the band
+    half-width), so for s w <= 1 F comes instead from its Taylor series
+    about the band centre c, e^{-i c s} sum_n (-i s)^n M_n / n!, with the
+    moments M_n = int J (e - c)^n de in the same telescoped closed form.
+    Term n is at most (s w)^n / n! of M_0, so _SERIES_TERMS terms reach
+    roundoff.
     """
     grid = np.asarray(sd.grid, dtype=float)
     inner = grid[(grid > lo) & (grid < hi)]
     x = np.concatenate(([lo], inner, [hi]))
     jv = eval_j(sd, x)
     b = np.diff(jv) / np.diff(x)
-
-    out = np.empty(s.shape, dtype=complex)
-    small = np.abs(s) < 1e-8
-    if np.any(small):
-        # short-lag series from the first three moments
-        m0 = np.trapezoid(jv, x)
-        m1 = np.trapezoid(jv * x, x)
-        m2 = np.trapezoid(jv * x * x, x)
-        ss = s[small]
-        out[small] = m0 - 1j * ss * m1 - 0.5 * ss * ss * m2
-    big = ~small
-    ss = s[big]
     # sum_k b_k (E_{k+1} - E_k) = -sum_k (b_k - b_{k-1}) E_k, with b zero
     # outside the band: one phase sum over the slope jumps
     jumps = np.diff(np.concatenate(([0.0], b, [0.0])))
+
+    out = np.empty(s.shape, dtype=complex)
+    c = 0.5 * (lo + hi)
+    small = np.abs(s) * 0.5 * (hi - lo) <= 1.0
+    if np.any(small):
+        # M_n by parts twice: endpoint values, then slope jumps
+        y = x - c
+        n = np.arange(_SERIES_TERMS)[:, None]
+        pw = y[None, :] ** (n + 1)
+        moments = ((jv[-1] * pw[:, -1] - jv[0] * pw[:, 0]) / (n[:, 0] + 1)
+                   + (pw * y) @ jumps / ((n[:, 0] + 1) * (n[:, 0] + 2)))
+        ss = s[small]
+        # Horner in (-i s) with the 1/n! folded into each step
+        acc = np.zeros(ss.shape, dtype=complex)
+        for k in range(_SERIES_TERMS - 1, -1, -1):
+            acc = moments[k] + acc * (-1j * ss) / (k + 1)
+        out[small] = np.exp(-1j * c * ss) * acc
+    big = ~small
+    ss = s[big]
     ends = phase_sum((x[0], x[-1]), (-jv[0], jv[-1]), ss)
     out[big] = (1j / ss) * ends - phase_sum(x, jumps, ss) / ss ** 2
     return out

@@ -27,9 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import linalg
 
-from .errors import ConfigError, GridMismatch
+from .errors import ConfigError
 from .spectral import eval_j
-from .volterra import PropagatorTrace
+# compare is the solver's own, offered here for oracle-vs-solver checks
+from .volterra import PropagatorTrace, compare
 
 _MEAN_KEY_DECIMALS = 12
 
@@ -138,10 +139,3 @@ def propagate(model, drive, grid):
         psi = kick(psi, right[k])
         u[k + 1] = q @ psi
     return PropagatorTrace(grid, u)
-
-
-def compare(trace_a, trace_b):
-    """Largest pointwise |difference| between traces on matching grids."""
-    if not trace_a.grid.matches(trace_b.grid):
-        raise GridMismatch("traces live on different grids")
-    return float(np.max(np.abs(trace_a.values - trace_b.values)))

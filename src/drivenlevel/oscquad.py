@@ -10,12 +10,6 @@ F[j, b] = w_j e^{-i t_b x_j}: one complex matrix product and about
 two correctly rounded exponentials, so there is no recurrence and no drift.
 Short, scattered or non-uniform t fall back to the direct product.
 
-Composite Filon rule on a uniform grid: f is fitted by parabolas on panel
-pairs and the oscillatory moments are integrated exactly, so the node count
-only has to resolve f, not the oscillation.  For phase-per-panel below pi/4
-the weights are evaluated from Taylor series (the closed forms cancel badly
-there); above, from the trigonometric closed forms.
-
 For bands where f vanishes like a square root at the edges, the angle path
 substitutes x = c - w cos(phi) and sums composite Gauss-Legendre panels.
 """
@@ -24,9 +18,8 @@ import numpy as np
 
 from .errors import QuadratureFailure
 
-_THETA_SWITCH = np.pi / 4.0
 # elements per temporary complex slab; bounds peak memory of every phase sum
-_SLAB = 4_000_000
+_SLAB = 1 << 16
 # below this many times the blocked split saves too little to pay off
 _BLOCKED_MIN = 64
 # uniformity tolerance in units of eps * max|t|
@@ -89,66 +82,6 @@ def phase_sum(x, w, t):
     return out.reshape(tt.shape)
 
 
-def filon_coefficients(theta):
-    """Filon weights (alpha, beta, gamma) for phase-per-panel theta >= 0.
-
-    Vectorized; series/closed-form split at pi/4 keeps relative error
-    below ~1e-9 everywhere.
-    """
-    th = np.asarray(theta, dtype=float)
-    small = th < _THETA_SWITCH
-    t2 = th * th
-
-    # series branch (safe for th < pi/4)
-    a_s = th * t2 * (2.0 / 45 - t2 * (2.0 / 315 - t2 * (2.0 / 4725
-          - t2 * (8.0 / 467775 - t2 * (4.0 / 8513505 - t2 * (2.0 / 212837625))))))
-    b_s = 2.0 / 3 + t2 * (2.0 / 15 - t2 * (4.0 / 105 - t2 * (2.0 / 567
-          - t2 * (4.0 / 22275 - t2 * (4.0 / 675675 - t2 * (8.0 / 58046625))))))
-    g_s = 4.0 / 3 - t2 * (2.0 / 15 - t2 * (1.0 / 210 - t2 * (1.0 / 11340
-          - t2 * (1.0 / 997920 - t2 * (1.0 / 129729600 - t2 * (1.0 / 23351328000))))))
-
-    # closed-form branch; guard the th=0 division, series wins there anyway
-    thc = np.where(small, 1.0, th)
-    s, c = np.sin(thc), np.cos(thc)
-    inv3 = 1.0 / (thc * thc * thc)
-    a_c = (thc * thc + thc * s * c - 2.0 * s * s) * inv3
-    b_c = 2.0 * (thc * (1.0 + c * c) - 2.0 * s * c) * inv3
-    g_c = 4.0 * (s - thc * c) * inv3
-
-    alpha = np.where(small, a_s, a_c)
-    beta = np.where(small, b_s, b_c)
-    gamma = np.where(small, g_s, g_c)
-    return alpha, beta, gamma
-
-
-def filon_integral(fvals, a, b, times):
-    """∫_a^b f(x) e^{-ixt} dx for each t, f sampled on a uniform grid.
-
-    fvals must have odd length 2n+1 (an even number of panels).  Returns a
-    complex array shaped like times.
-    """
-    fvals = np.asarray(fvals, dtype=complex)
-    m = fvals.size
-    if m < 3 or m % 2 == 0:
-        raise ValueError("need an odd number of nodes >= 3")
-    t = np.atleast_1d(np.asarray(times, dtype=float))
-    h = (b - a) / (m - 1)
-    x = a + h * np.arange(m)
-
-    alpha, beta, gamma = filon_coefficients(np.abs(t) * h)
-
-    f_even = fvals[0::2].copy()
-    f_even[0] *= 0.5
-    f_even[-1] *= 0.5
-    s_even = phase_sum(x[0::2], f_even, t)
-    s_odd = phase_sum(x[1::2], fvals[1::2], t)
-    bnd = phase_sum((a, b), (-fvals[0], fvals[-1]), t)
-    out = h * (1j * alpha * np.sign(t) * bnd + beta * s_even + gamma * s_odd)
-    if np.isscalar(times) or np.ndim(times) == 0:
-        return out[0]
-    return out
-
-
 def angle_band_integral(f, a, b, times, tol=1e-8, n_max=1 << 21):
     """∫_a^b f(x) e^{-ixt} dx for bands where f vanishes like sqrt at the edges.
 
@@ -197,42 +130,6 @@ def angle_band_integral(f, a, b, times, tol=1e-8, n_max=1 << 21):
                 f"band integral not converged at {n} panels (err {err:.2e})")
         prev = cur
     result = phase_sum(x, fx, t)
-    if np.isscalar(times) or np.ndim(times) == 0:
-        return result[0]
-    return result
-
-
-def fourier_integral(f, a, b, times, tol=1e-8, n_start=64, n_max=1 << 17):
-    """Adaptive ∫_a^b f(x) e^{-ixt} dx, doubling panels until converged.
-
-    f is a vectorized callable.  Convergence is judged on a spread of the
-    requested times (always including the largest |t|).  Raises
-    QuadratureFailure if the doubling budget is exhausted.
-    """
-    t = np.atleast_1d(np.asarray(times, dtype=float))
-    if t.size == 0:
-        return np.empty(0, dtype=complex)
-    # probe times: extremes plus a few interior points
-    idx = np.unique(np.clip(np.linspace(0, t.size - 1, 9).astype(int), 0, t.size - 1))
-    order = np.argsort(np.abs(t))
-    probe = np.unique(np.concatenate([t[idx], t[order[-3:]]]))
-
-    n = n_start
-    fv = f(np.linspace(a, b, 2 * n + 1))
-    prev = filon_integral(fv, a, b, probe)
-    while True:
-        n *= 2
-        fv = f(np.linspace(a, b, 2 * n + 1))
-        cur = filon_integral(fv, a, b, probe)
-        err = np.max(np.abs(cur - prev))
-        scale = max(np.max(np.abs(cur)), 1.0)
-        if err <= tol * scale:
-            break
-        if 2 * n > n_max:
-            raise QuadratureFailure(
-                f"oscillatory integral not converged at {n} panels (err {err:.2e})")
-        prev = cur
-    result = filon_integral(fv, a, b, t)
     if np.isscalar(times) or np.ndim(times) == 0:
         return result[0]
     return result

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import integrate, optimize
 
 from .errors import QuadratureFailure, TooCloseToBandEdge
-from .oscquad import angle_band_integral, fourier_integral, phase_sum
+from .oscquad import angle_band_integral, phase_sum
 
 EDGE_COLLAR = 1e-6          # roots this close to a band edge are spurious
 DERIVATIVE_FLOOR = 1e-9     # refuse derivative evaluation closer than this
@@ -397,14 +397,12 @@ def compute_u0(sd, eps_on, times, tol=1e-8):
                     times)
     for lo, hi in sd.band:
         f = lambda e: band_spectral_function(sd, eps_on, e)
-        # the continuum weight vanishes like sqrt at semicircle edges, which
-        # defeats uniform-grid quadrature; the angle path restores spectral
-        # accuracy there
-        if isinstance(sd, Semicircle):
-            part = angle_band_integral(f, lo, hi, times, tol=tol)
-        else:
-            part = fourier_integral(f, lo, hi, times, tol=tol)
-        out += part / (2.0 * np.pi)
+        # one quadrature for every band: at semicircle edges the continuum
+        # weight vanishes like sqrt, which the angle substitution makes
+        # analytic; a tabulated weight is only piecewise smooth, but the
+        # doubling still meets tol, and its node count follows the phase
+        # range w * max|t| rather than the table, so dense tables stay cheap
+        out += angle_band_integral(f, lo, hi, times, tol=tol) / (2.0 * np.pi)
     peak = np.max(np.abs(out), initial=0.0)
     if not peak <= 1.0 + U0_BOUND_SLACK:
         raise QuadratureFailure(

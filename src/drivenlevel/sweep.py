@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .comb import SURVIVES, comb_reports
+from .comb import SURVIVES, comb_reports, survival_metric
 from .config import drive_to_dict, sd_to_dict
 from .errors import ConfigError, DrivenLevelError
 from .kernel import kernel_for
@@ -153,10 +153,7 @@ def evaluate_point(payload):
         grid = aligned_grid(0.0, t_max, h, drive_pt)
         fine, est = convergence_check(functools.partial(kernel_for, sd_pt),
                                       eps_s, drive_pt, grid)
-        t = fine.times()
-        mask = (t >= window[0] - 1e-9) & (t <= window[1] + 1e-9)
-        metric = float(np.trapezoid(np.abs(fine.values[mask]), t[mask])
-                       / (t[mask][-1] - t[mask][0]))
+        metric = survival_metric(fine, window)
         return cells + [prediction, min_order, _fmt(metric),
                         format(est, ".3e"), "ok"]
     except DrivenLevelError as exc:

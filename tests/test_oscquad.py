@@ -4,8 +4,7 @@ import pytest
 
 from drivenlevel import oscquad, spectral
 from drivenlevel.errors import QuadratureFailure
-from drivenlevel.oscquad import (angle_band_integral, filon_coefficients,
-                                 filon_integral, fourier_integral, phase_sum)
+from drivenlevel.oscquad import angle_band_integral, phase_sum
 
 
 def mp_phase_integral(f, a, b, t, dps=40):
@@ -15,71 +14,18 @@ def mp_phase_integral(f, a, b, t, dps=40):
         return complex(val)
 
 
-def test_coefficients_match_closed_form():
-    # trig closed forms need ~2*log10(1/theta) guard digits before the
-    # cancellation at small theta, hence the high-precision reference
-    for theta in (1e-6, 1e-3, 0.1, 0.5, np.pi / 4 - 1e-9, 1.2, 7.0):
-        a, b, g = filon_coefficients(theta)
-        with mp.workdps(60):
-            th = mp.mpf(theta)
-            s, c = mp.sin(th), mp.cos(th)
-            a_exact = float(1 / th + s * c / th ** 2 - 2 * s ** 2 / th ** 3)
-            b_exact = float(2 * ((1 + c ** 2) / th ** 2 - 2 * s * c / th ** 3))
-            g_exact = float(4 * (s / th ** 3 - c / th ** 2))
-        assert a == pytest.approx(a_exact, rel=1e-9, abs=1e-22)
-        assert b == pytest.approx(b_exact, rel=1e-9)
-        assert g == pytest.approx(g_exact, rel=1e-9)
-
-
-def test_coefficients_continuous_at_branch_switch():
-    eps = 1e-12
-    lo = filon_coefficients(np.pi / 4 - eps)
-    hi = filon_coefficients(np.pi / 4 + eps)
-    for x, y in zip(lo, hi):
-        assert x == pytest.approx(y, rel=1e-9, abs=1e-12)
-
-
-def test_polynomial_exactness():
-    # the composite rule integrates quadratics against the phase exactly
-    a, b = -1.3, 2.1
-    x = np.linspace(a, b, 41)
-    f = 0.7 * x ** 2 - 0.4 * x + 1.1
-    for t in (0.0, 1e-4, 0.3, 2.0, 17.5, -6.0):
-        got = filon_integral(f, a, b, np.array([t]))[0]
-        want = mp_phase_integral(lambda z: 0.7 * z ** 2 - 0.4 * z + 1.1,
-                                 a, b, t)
-        assert got == pytest.approx(want, abs=1e-12 * max(1, abs(want)))
-
-
-def test_filon_needs_odd_node_count():
-    x = np.linspace(0, 1, 40)
-    with pytest.raises(ValueError):
-        filon_integral(np.ones(40), 0.0, 1.0, np.array([1.0]))
-
-
-def test_filon_smooth_function_converges():
-    a, b = 0.0, np.pi
-    t = np.array([12.0])
-
-    def reference(n):
-        x = np.linspace(a, b, n)
-        return filon_integral(np.sin(x), a, b, t)[0]
-
-    coarse, fine = reference(129), reference(513)
-    want = mp_phase_integral(mp.sin, a, b, t[0])
-    assert fine == pytest.approx(want, abs=1e-9)
-    assert abs(fine - want) < abs(coarse - want)
-
-
 def test_angle_path_matches_filon_on_smooth_band():
-    # semicircle-weighted smooth function, moderate times
+    # semicircle-weighted smooth function, moderate times; the reference is
+    # 40-digit quadrature (the name records the Filon rule once used here)
     a, b = -2.0, 2.0
     f = lambda x: np.sqrt(np.maximum(4.0 - x * x, 0.0)) * np.cos(0.3 * x)
     times = np.array([0.0, 0.5, 3.0, 20.0, 80.0])
     got = angle_band_integral(f, a, b, times)
-    x = np.linspace(a, b, 1 << 15 | 1)
-    ref = filon_integral(f(x), a, b, times)
-    assert np.max(np.abs(got - ref)) < 1e-6
+    for t, g in zip(times, got):
+        want = mp_phase_integral(
+            lambda x: mp.sqrt(4 - x * x) * mp.cos(0.3 * x),
+            a, b, mp.mpf(t))
+        assert abs(g - want) < 1e-12
 
 
 def test_angle_path_bessel_identity():
@@ -93,21 +39,13 @@ def test_angle_path_bessel_identity():
     assert np.max(np.abs(got - want)) < 1e-11
 
 
-def test_fourier_integral_adaptive_reaches_tol():
-    f = lambda x: 1.0 / (1.0 + x * x)
-    times = np.linspace(0.0, 30.0, 7)
-    got = fourier_integral(f, -1.0, 1.0, times, tol=1e-9)
-    x = np.linspace(-1.0, 1.0, 1 << 14 | 1)
-    ref = filon_integral(f(x), -1.0, 1.0, times)
-    assert np.max(np.abs(got - ref)) < 1e-8
-
-
 def test_fourier_integral_budget_exhaustion():
-    f = lambda x: np.sqrt(np.maximum(1.0 - x * x, 0.0))
+    # a kink off every panel edge leaves the angle path algebraic
+    # convergence only, so tol 1e-13 is out of reach of a 1024-node budget
+    f = lambda x: np.abs(x - 0.3)
     with pytest.raises(QuadratureFailure):
-        # sqrt edges defeat the uniform rule at this tolerance
-        fourier_integral(f, -1.0, 1.0, np.array([5.0]), tol=1e-13,
-                         n_max=1 << 10)
+        angle_band_integral(f, -1.0, 1.0, np.array([5.0]), tol=1e-13,
+                            n_max=1 << 10)
 
 
 def direct_phase_sum(x, w, t):

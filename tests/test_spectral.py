@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from drivenlevel import oracle, spectral
+from drivenlevel import oracle, oscquad, spectral
 from drivenlevel.errors import QuadratureFailure, TooCloseToBandEdge
 from drivenlevel.spectral import (BoundState, Semicircle, Tabulated,
                                   band_spectral_function, compute_u0,
@@ -263,6 +263,39 @@ def test_tabulated_shift_chunks_agree(monkeypatch):
     whole = spectral._delta_tabulated(sd, eps)
     monkeypatch.setattr(spectral, "_SLAB", 50)
     assert np.max(np.abs(spectral._delta_tabulated(sd, eps) - whole)) <= 1e-15
+
+
+def cell_split_u0(sd, eps_on, t, order=64):
+    """u0 with Gauss-Legendre panels split at every table node.
+
+    Each cell is cut into panels of at most pi phase at max|t|, where
+    order-64 panels integrate the smooth piece to roundoff.
+    """
+    out = sum(s.residue * np.exp(-1j * s.energy * t)
+              for s in find_bound_states(sd, eps_on))
+    glx, glw = np.polynomial.legendre.leggauss(order)
+    nodes = np.asarray(sd.grid)
+    tmax = np.max(np.abs(t))
+    for lo, hi in sd.band:
+        cells = nodes[(nodes >= lo) & (nodes <= hi)]
+        edges = np.concatenate([
+            np.linspace(a, b, int(np.ceil((b - a) * tmax / np.pi)) + 1)[:-1]
+            for a, b in zip(cells[:-1], cells[1:])] + [[hi]])
+        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+        x = (mid[:, None] + half[:, None] * glx).ravel()
+        w = (half[:, None] * glw).ravel()
+        fx = band_spectral_function(sd, eps_on, x) * w
+        out = out + oscquad.phase_sum(x, fx, t) / (2.0 * np.pi)
+    return out
+
+
+def test_u0_tabulated_matches_cell_split_reference(kinked_two_band):
+    # the continuum weight has a kink at every table node
+    t = 0.01 * np.arange(5001)
+    got = compute_u0(kinked_two_band, 0.2, t)
+    want = cell_split_u0(kinked_two_band, 0.2, t)
+    assert len(find_bound_states(kinked_two_band, 0.2)) == 1
+    assert np.max(np.abs(got - want)) <= 1e-8
 
 
 @pytest.mark.parametrize("bad", [2.0, np.nan])
