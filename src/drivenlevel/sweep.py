@@ -225,11 +225,20 @@ def _completed_rows(path, spec):
     return rows, ends[-1]
 
 
+def _usable_cpus():
+    """CPUs in this process's affinity mask (the CPU count where the
+    platform cannot report one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def run_sweep(spec, workers=None):
     """Run (or resume) the sweep; returns the number of rows computed now.
 
-    workers=None sizes the pool from the CPU count; workers=1 stays in
-    process.
+    workers=None sizes the pool from the CPUs this process may run on;
+    workers=1 stays in process.
     """
     _check_sidecar(spec, spec.out_path + ".json")
     complete = _completed_rows(spec.out_path, spec)
@@ -254,7 +263,7 @@ def run_sweep(spec, workers=None):
     payloads = [(spec.sd, spec.eps_s, spec.drive, spec.t_max, spec.h,
                  spec.window, pt) for pt in todo]
     if workers is None:
-        workers = min(os.cpu_count() or 1, len(todo), 8)
+        workers = min(_usable_cpus(), len(todo), 8)
     with open(spec.out_path, "a") as fh:
         if workers <= 1:
             for payload in payloads:

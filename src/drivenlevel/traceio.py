@@ -16,10 +16,8 @@ from .volterra import PropagatorTrace, TimeGrid
 
 FORMAT_NAME = "drivenlevel-trace"
 FORMAT_VERSION = 1
-
-
-def _fmt(x):
-    return format(float(x), ".17g")
+# rows formatted per write; bounds the text held in memory at once
+_CHUNK_ROWS = 8192
 
 
 def write_trace(path, trace, config=None, extra_columns=None):
@@ -46,14 +44,17 @@ def write_trace(path, trace, config=None, extra_columns=None):
                              f"match the grid ({grid.n_steps + 1} nodes)")
     t = trace.times()
     u = trace.values
+    cols = [t, u.real, u.imag, np.abs(u)]
+    cols += [np.asarray(extras[name], dtype=float) for name in extras]
+    # csv.writer's own row format: '.17g' numbers never need quoting, and
+    # its line terminator is \r\n
+    row_fmt = ",".join(["{:.17g}"] * len(cols)) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t", "re_u", "im_u", "abs_u"] + list(extras))
-        cols = [t, u.real, u.imag, np.abs(u)]
-        cols += [np.asarray(extras[name], dtype=float) for name in extras]
-        for row in zip(*cols):
-            writer.writerow([_fmt(x) for x in row])
+        csv.writer(fh).writerow(["t", "re_u", "im_u", "abs_u"] + list(extras))
+        for lo in range(0, t.size, _CHUNK_ROWS):
+            rows = zip(*[c[lo:lo + _CHUNK_ROWS].tolist() for c in cols])
+            fh.write("".join(row_fmt.format(*row) for row in rows))
 
 
 def read_trace(path):

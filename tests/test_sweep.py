@@ -8,6 +8,7 @@ from drivenlevel.driving import DrivingField
 from drivenlevel.errors import ConfigError
 from drivenlevel.kernel import kernel_for
 from drivenlevel.spectral import Semicircle, Tabulated
+from drivenlevel import sweep
 from drivenlevel.sweep import SweepAxis, SweepSpec, read_rows, run_sweep
 from drivenlevel.volterra import aligned_grid, convergence_check
 
@@ -161,3 +162,40 @@ def test_single_point_matches_direct_evolution(tmp_path):
     metric = survival_metric(fine, (10.0, 20.0))
     assert float(row["metric"]) == pytest.approx(metric, rel=1e-9)
     assert float(row["error_estimate"]) == pytest.approx(est, rel=1e-2)
+
+
+class _RecordingPool:
+    """In-process stand-in for ProcessPoolExecutor that records its size."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("affinity, cpu_count, want", [
+    ({0, 3, 5}, 64, 3),      # the affinity mask, not the machine, sets it
+    (None, 2, 2),            # no sched_getaffinity: the CPU count
+])
+def test_default_pool_sized_from_affinity(tmp_path, monkeypatch, affinity,
+                                          cpu_count, want):
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpu_count)
+    if affinity is None:
+        monkeypatch.delattr(sweep.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(sweep.os, "sched_getaffinity",
+                            lambda pid: set(affinity))
+    axes = (SweepAxis("period", (1.25, 1.32, 1.4, 1.5)),)
+    run_sweep(small_spec(tmp_path / "s.csv", axes=axes))
+    assert _RecordingPool.sizes == [want]

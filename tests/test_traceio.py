@@ -1,9 +1,13 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
 from drivenlevel.errors import ConfigError
 from drivenlevel.svgplot import line_plot
-from drivenlevel.traceio import read_trace, write_trace
+from drivenlevel.traceio import (FORMAT_NAME, FORMAT_VERSION, _CHUNK_ROWS,
+                                 read_trace, write_trace)
 from drivenlevel.volterra import PropagatorTrace, TimeGrid
 
 
@@ -37,6 +41,42 @@ def test_extra_columns_round_trip(tmp_path):
     assert "ref" in text.splitlines()[1].split(",")
     back, _ = read_trace(path)   # extra columns are tolerated
     assert back.grid.n_steps == 10
+
+
+def _write_trace_csv_writer(path, trace, config=None, extra_columns=None):
+    """Reference writer: one csv.writer row per node, one format per cell."""
+    grid = trace.grid
+    meta = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "t0": grid.t0,
+            "h": grid.h, "n_steps": grid.n_steps}
+    if config is not None:
+        meta["config"] = config
+    extras = extra_columns or {}
+    u = trace.values
+    with open(path, "w", newline="") as fh:
+        fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(["t", "re_u", "im_u", "abs_u"] + list(extras))
+        cols = [trace.times(), u.real, u.imag, np.abs(u)]
+        cols += [np.asarray(extras[name], dtype=float) for name in extras]
+        for row in zip(*cols):
+            writer.writerow([format(float(x), ".17g") for x in row])
+
+
+@pytest.mark.parametrize("with_extras", [False, True])
+def test_write_matches_csv_writer_bytes(tmp_path, with_extras):
+    # more rows than one write chunk, with values whose text is unusual
+    grid = TimeGrid(-3.0, 1e-3, 2 * _CHUNK_ROWS + 7)
+    t = grid.times()
+    u = np.exp(-1j * 1.7 * t) * np.exp(-0.03 * t)
+    u[:4] = [0.0, -0.0 + 1e-300j, 1e300 - 5e-324j, np.nan + 1j * np.inf]
+    tr = PropagatorTrace(grid, u)
+    extras = {"u0 ref": np.cos(t), "b": -t} if with_extras else None
+    write_trace(tmp_path / "new.csv", tr, config={"k": [1, 2]},
+                extra_columns=extras)
+    _write_trace_csv_writer(tmp_path / "old.csv", tr, config={"k": [1, 2]},
+                            extra_columns=extras)
+    assert (tmp_path / "new.csv").read_bytes() == \
+        (tmp_path / "old.csv").read_bytes()
 
 
 def test_missing_meta_rejected(tmp_path):

@@ -3,10 +3,57 @@ import pytest
 
 from drivenlevel.driving import DrivingField
 from drivenlevel.errors import GridMismatch, StepTooLarge
-from drivenlevel.kernel import SemicircleKernel, kernel_for
+from drivenlevel.kernel import QuadratureKernel, SemicircleKernel, kernel_for
 from drivenlevel.spectral import Semicircle, compute_u0
-from drivenlevel.volterra import (PropagatorTrace, TimeGrid, aligned_grid,
-                                  compare, convergence_check, evolve)
+from drivenlevel.volterra import (_BLOCK, _PIECE, PropagatorTrace, TimeGrid,
+                                  _check_preconditions, aligned_grid, compare,
+                                  convergence_check, evolve)
+
+
+def _evolve_direct(kern, eps_s, drive, grid):
+    """Reference solver: evolve with the O(N^2) history dot at every step.
+
+    Same scheme as `evolve`, but the trapezoid history at t_{k+1} is one
+    direct dot over all earlier nodes instead of the blocked FFT sum.
+    """
+    _check_preconditions(eps_s, drive, grid)
+    h = grid.h
+    n = grid.n_steps
+    t = grid.times()
+    g = np.ascontiguousarray(kern.lag_samples(h, n), dtype=complex)
+    gr = g[::-1].copy()                 # gr[n-k:n] == [g_k, ..., g_1]
+    g0 = g[0]
+    static = eps_s + drive.mean
+    phi = static * (t - grid.t0) + drive.modulation_integral(t) \
+        - drive.modulation_integral(grid.t0)
+    ephase = np.exp(-1j * phi)
+    u = np.empty(n + 1, dtype=complex)
+    u[0] = 1.0
+    w = 1.0 + 0.0j
+    hist_k = 0.0 + 0.0j
+    half_g0 = 0.5 * h * g0
+    for k in range(n):
+        wdot_k = -np.conj(ephase[k]) * (hist_k + half_g0 * u[k])
+        hist_next = 0.5 * g[k + 1] * u[0]
+        if k >= 1:
+            hist_next += np.dot(gr[n - k:n], u[1:k + 1])
+        hist_next *= h
+        w_pred = w + h * wdot_k
+        u_pred = ephase[k + 1] * w_pred
+        wdot_p = -np.conj(ephase[k + 1]) * (hist_next + half_g0 * u_pred)
+        w = w + 0.5 * h * (wdot_k + wdot_p)
+        u[k + 1] = ephase[k + 1] * w
+        hist_k = hist_next
+    return PropagatorTrace(grid, u)
+
+
+# node counts around the block schedule: single steps, block edges, the
+# doubling squares, squares two FFT pieces wide (2 _PIECE nodes), and grids
+# that end inside their largest square (at 47 B + 5 the square of width 32 B
+# reaches 64 B; at 3 _PIECE + 5 the second target piece is cut short)
+SCHEDULE_NS = [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK,
+               8 * _BLOCK - 1, 8 * _BLOCK + 1, 47 * _BLOCK + 5,
+               2 * _PIECE - 1, 2 * _PIECE + 1, 3 * _PIECE + 5]
 
 
 def semicircle_setup(eta=1.0, mean=2.5, shape="sine", amplitude=0.5,
@@ -165,3 +212,58 @@ def test_history_affects_solution():
     full = evolve(kern, 0.0, drive, grid)
     free = evolve(SemicircleKernel(Semicircle(eta=0.0)), 0.0, drive, grid)
     assert compare(full, free) > 0.01
+
+
+def _rel_dev(a, b):
+    return np.max(np.abs(a.values - b.values)) / np.max(np.abs(b.values))
+
+
+@pytest.mark.parametrize("shape", ["sine", "square"])
+def test_blocked_history_matches_direct_semicircle(shape):
+    sd, kern, drive = semicircle_setup(shape=shape)
+    h = aligned_grid(0.0, 1.0, 0.01, drive).h
+    for n in SCHEDULE_NS:
+        grid = TimeGrid(0.0, h, n)
+        fast = evolve(kern, 0.0, drive, grid)
+        assert _rel_dev(fast, _evolve_direct(kern, 0.0, drive, grid)) \
+            <= 1e-12, n
+
+
+def test_blocked_history_matches_direct_tabulated(kinked_two_band):
+    drive = DrivingField(mean=0.2, period=1.25, shape="sine", amplitude=0.5)
+    h = 0.01
+    kern = QuadratureKernel(kinked_two_band, h, h * max(SCHEDULE_NS))
+    for n in SCHEDULE_NS:
+        grid = TimeGrid(0.0, h, n)
+        fast = evolve(kern, 0.0, drive, grid)
+        assert _rel_dev(fast, _evolve_direct(kern, 0.0, drive, grid)) \
+            <= 1e-12, n
+
+
+def test_evolve_is_deterministic(kinked_two_band):
+    drive = DrivingField(mean=0.2, period=1.25, shape="square", amplitude=0.5)
+    grid = aligned_grid(0.0, 0.01 * SCHEDULE_NS[-1], 0.01, drive)
+    kern = QuadratureKernel(kinked_two_band, grid.h, grid.t_end)
+    a = evolve(kern, 0.0, drive, grid)
+    b = evolve(kern, 0.0, drive, grid)
+    assert np.array_equal(a.values, b.values)
+
+
+class _NanLagKernel:
+    """Semicircle kernel with one NaN lag, as a broken table would give."""
+
+    def __init__(self, bad_lag):
+        self.inner = SemicircleKernel(Semicircle(eta=1.0))
+        self.bad_lag = bad_lag
+
+    def lag_samples(self, h, n):
+        g = self.inner.lag_samples(h, n).copy()
+        g[self.bad_lag] = np.nan
+        return g
+
+
+def test_non_finite_values_raise_naming_the_node():
+    drive = DrivingField(mean=2.5, period=1.25, shape="sine", amplitude=0.5)
+    # lag 5 first enters the history at t_5, so u_5 is the first bad node
+    with pytest.raises(StepTooLarge, match=r"node 5 \(t = 0\.05\)"):
+        evolve(_NanLagKernel(5), 0.0, drive, TimeGrid(0.0, 0.01, 300))
