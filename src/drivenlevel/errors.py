@@ -14,7 +14,7 @@ class ConfigError(DrivenLevelError):
 
 
 class QuadratureFailure(DrivenLevelError):
-    """An adaptive integral failed to reach the requested tolerance."""
+    """A quadrature did not converge, or its result broke an invariant."""
 
 
 class TooCloseToBandEdge(DrivenLevelError):

@@ -160,7 +160,7 @@ class QuadratureKernel:
         return self.cache[:n + 1]
 
 
-def kernel_for(sd, h=None, max_lag=None, analytic=True, tol=1e-10):
+def kernel_for(sd, h=None, max_lag=None, analytic=True):
     """Pick the natural kernel for a density.
 
     Semicircle densities default to the closed form; pass analytic=False
@@ -170,4 +170,4 @@ def kernel_for(sd, h=None, max_lag=None, analytic=True, tol=1e-10):
         return SemicircleKernel(sd)
     if h is None or max_lag is None:
         raise ValueError("quadrature kernel needs h and max_lag")
-    return QuadratureKernel(sd, h, max_lag, tol=tol)
+    return QuadratureKernel(sd, h, max_lag)

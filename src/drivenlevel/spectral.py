@@ -8,16 +8,18 @@ where eps - eps_on - Delta(eps) = 0, their residues, the continuum spectral
 weight, and the free survival amplitude u0(t).
 
 Two J variants are provided: a semicircle band, for which Delta and the
-propagator kernel have closed forms, and a tabulated J on a grid, handled by
-quadrature throughout.  hbar = 1; the system's bare energy is absorbed into
-eps_on by the callers.
+propagator kernel have closed forms, and a tabulated J on a grid, linear
+between nodes, whose Delta is summed exactly cell by cell.  Band integrals
+(the sum rule, u0) all go through `oscquad.angle_band_integral`, and levels
+are found by bisection on closed-form brackets, so numpy is the only
+dependency.  hbar = 1; the system's bare energy is absorbed into eps_on by
+the callers.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import QuadratureFailure, TooCloseToBandEdge
 from .oscquad import angle_band_integral, phase_sum
@@ -258,13 +260,34 @@ def _gap_regions(sd):
     return gaps
 
 
-def find_bound_states(sd, eps_on, tol_root=TOL_ROOT):
+def _bisect(f, a, b, xtol):
+    """A sign change of f inside [a, b] (f(a) and f(b) of opposite sign).
+
+    Halves the bracket until it is at most xtol wide, or until the midpoint
+    no longer falls strictly inside it (xtol below the float spacing).
+    """
+    negative = f(a) < 0.0
+    m = 0.5 * (a + b)
+    while b - a > xtol and a < m < b:
+        if (f(m) < 0.0) == negative:
+            a = m
+        else:
+            b = m
+        m = 0.5 * (a + b)
+    return m
+
+
+def find_bound_states(sd, eps_on):
     """Discrete levels of the coupled system outside the band.
 
-    Solves eps - eps_on - Delta(eps) = 0 on each gap region.  Delta is
-    strictly decreasing off the band, so each gap holds at most one root;
-    sign-change bracketing plus Brent refinement finds it.  Roots inside
-    EDGE_COLLAR of an edge are discarded as spurious.  Residues are
+    Solves phi(eps) = eps - eps_on - Delta(eps) = 0 on each gap region.
+    Delta is strictly decreasing off the band, so phi is increasing and
+    each gap holds at most one root, bracketed by phi(a) < 0 < phi(b) and
+    refined by bisection to TOL_ROOT.  The unbounded gaps get a closed-form
+    bracket: off the band |Delta(eps)| <= g0 / dist(eps, band), with g0 the
+    total weight, so phi changes sign within reach = sqrt(g0) + 1 past
+    max(eps_on, band top) (or below min(eps_on, band bottom)).  Roots
+    inside EDGE_COLLAR of an edge are discarded as spurious.  Residues are
     1/(1 - Delta'(eps_l)).
 
     Returns BoundState list sorted by energy (possibly empty).
@@ -275,36 +298,14 @@ def find_bound_states(sd, eps_on, tol_root=TOL_ROOT):
     def phi(e):
         return e - eps_on - (self_energy(sd, e).delta)
 
+    reach = math.sqrt(total_weight(sd)) + 1.0
     roots = []
     for lo, hi in _gap_regions(sd):
-        a = lo + EDGE_COLLAR if np.isfinite(lo) else None
-        b = hi - EDGE_COLLAR if np.isfinite(hi) else None
-        if a is None:
-            # lower unbounded gap: phi -> -inf leftwards, root iff phi(b) > 0
-            if b is None or phi(b) <= 0.0:
-                continue
-            a = min(b - 1.0, eps_on)
-            for _ in range(80):
-                if phi(a) < 0.0:
-                    break
-                a = b - 2.0 * (b - a)
-            else:
-                continue
-        elif b is None:
-            # upper unbounded gap: root iff phi(a) < 0
-            if phi(a) >= 0.0:
-                continue
-            b = max(a + 1.0, eps_on)
-            for _ in range(80):
-                if phi(b) > 0.0:
-                    break
-                b = a + 2.0 * (b - a)
-            else:
-                continue
-        else:
-            if b <= a or phi(a) >= 0.0 or phi(b) <= 0.0:
-                continue
-        root = optimize.brentq(phi, a, b, xtol=tol_root, rtol=8.9e-16)
+        a = lo + EDGE_COLLAR if np.isfinite(lo) else min(eps_on, hi) - reach
+        b = hi - EDGE_COLLAR if np.isfinite(hi) else max(eps_on, lo) + reach
+        if not phi(a) < 0.0 < phi(b):
+            continue
+        root = _bisect(phi, a, b, TOL_ROOT)
         if _nearest_edge_distance(sd, root) <= EDGE_COLLAR:
             continue
         residue = 1.0 / (1.0 - self_energy_derivative(sd, root))
@@ -337,19 +338,20 @@ def _band_resonances(sd, eps_on):
             vals = grid - eps_on - _delta_semicircle(sd, grid)
         else:
             vals = grid - eps_on - _delta_tabulated(sd, grid)
-        sign = np.sign(vals)
-        for i in np.nonzero(np.diff(sign) != 0)[0]:
-            f = lambda e: e - eps_on - self_energy(sd, e).delta
-            pts.append(optimize.brentq(f, grid[i], grid[i + 1], xtol=1e-10))
+        f = lambda e: e - eps_on - self_energy(sd, e).delta
+        for i in np.nonzero(np.diff(np.sign(vals)) != 0)[0]:
+            pts.append(_bisect(f, grid[i], grid[i + 1], 1e-10))
     return pts
 
 
 def spectrum(sd, eps_on, n_grid=2001):
     """Full spectral decomposition with a sum-rule check.
 
-    The continuum is sampled on n_grid points per band interval;
-    the sum rule integrates it adaptively (splitting at any interior
-    resonance) and adds the bound-state residues.
+    The continuum is sampled on n_grid points per band interval.  The sum
+    rule integrates it with the angle quadrature at t = 0, each band split
+    at its interior resonances (where the weight peaks sharply), and adds
+    the bound-state residues.  An integral that does not converge raises
+    QuadratureFailure.
     """
     if is_decoupled(sd):
         grid = np.array([float(eps_on)])
@@ -364,17 +366,13 @@ def spectrum(sd, eps_on, n_grid=2001):
     band_grid = np.concatenate(grids)
     band_values = np.concatenate(vals)
 
+    f = lambda e: band_spectral_function(sd, eps_on, e)
     resonances = _band_resonances(sd, eps_on)
     cont = 0.0
     for lo, hi in sd.band:
-        inner = sorted(p for p in resonances if lo < p < hi)
-        val, err = integrate.quad(
-            lambda e: band_spectral_function(sd, eps_on, e), lo, hi,
-            points=inner or None, limit=500, epsabs=1e-11, epsrel=1e-10)
-        if err > 1e-7:
-            raise QuadratureFailure(
-                f"continuum weight integral error {err:.2e} on ({lo}, {hi})")
-        cont += val
+        cuts = [lo] + sorted(p for p in resonances if lo < p < hi) + [hi]
+        for a, b in zip(cuts, cuts[1:]):
+            cont += angle_band_integral(f, a, b, 0.0, tol=1e-10).real
     total = sum(s.residue for s in bound) + cont / (2.0 * np.pi)
     return SystemSpectrum(bound, band_grid, band_values, float(total))
 

@@ -126,18 +126,24 @@ def _add_far(far, g, u, src, dst, size):
     One square of the history convolution, by FFT.  Sources and targets are
     cut into pieces of at most _PIECE nodes, so every transform has at most
     2 * _PIECE points; a target piece accumulates the products of its source
-    pieces in frequency space before one inverse transform.  Targets past
-    the end of far, and lags past the end of g, are dropped.
+    pieces in frequency space before one inverse transform.  Each source
+    piece is transformed once per square, and so is each lag window, which
+    depends only on the offset between target and source piece.  Targets
+    past the end of far, and lags past the end of g, are dropped.
     """
     piece = min(size, _PIECE)
     span = 2 * piece
+    starts = range(0, size, piece)
+    sources = [np.fft.fft(u[src + r0:src + r0 + piece], span) for r0 in starts]
+    windows = {}
     for q0 in range(0, min(size, far.size - dst), piece):
         acc = np.zeros(span, dtype=complex)
-        for r0 in range(0, size, piece):
+        for r0, source in zip(starts, sources):
             # lags of this pair run from base - piece + 1 to base + piece - 1
             base = dst + q0 - src - r0
-            acc += (np.fft.fft(u[src + r0:src + r0 + piece], span)
-                    * np.fft.fft(g[base - piece:base + piece], span))
+            if base not in windows:
+                windows[base] = np.fft.fft(g[base - piece:base + piece], span)
+            acc += source * windows[base]
         top = min(dst + q0 + piece, far.size)
         far[dst + q0:top] += np.fft.ifft(acc)[piece:piece + top - dst - q0]
 

@@ -127,3 +127,7 @@ def test_kernel_for_dispatch():
                       QuadratureKernel)
     with pytest.raises(ValueError):
         kernel_for(sd, analytic=False)
+    tab = Tabulated((-1.0, 0.0, 1.0), (0.0, 1.0, 0.0), ((-1.0, 1.0),))
+    assert isinstance(kernel_for(tab, 0.1, 1.0), QuadratureKernel)
+    with pytest.raises(ValueError):
+        kernel_for(tab)

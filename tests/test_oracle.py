@@ -3,7 +3,7 @@ import pytest
 
 from drivenlevel import oracle
 from drivenlevel.driving import DrivingField
-from drivenlevel.errors import ConfigError, GridMismatch
+from drivenlevel.errors import ConfigError, DrivenLevelError, GridMismatch
 from drivenlevel.kernel import SemicircleKernel
 from drivenlevel.spectral import Semicircle, find_bound_states, total_weight
 from drivenlevel.volterra import TimeGrid, evolve
@@ -97,6 +97,25 @@ def test_finite_size_revival_exists():
     mid = mag[(t > 0.4 * t_rec) & (t < 0.6 * t_rec)].max()
     near_rec = mag[t > 0.9 * t_rec].max()
     assert near_rec > 3.0 * mid
+
+
+@pytest.mark.parametrize("scale", [1.01, np.nan])
+def test_propagate_checks_norm_invariant(monkeypatch, scale):
+    model = oracle.discretize(Semicircle(eta=1.0), 60)
+    drive = DrivingField(mean=2.5, period=2.0, shape="sine", amplitude=0.1)
+    grid = TimeGrid(0.0, 0.01, 50)
+    oracle.propagate(model, drive, grid)
+    # a level column that is not a unit vector (or is poisoned) breaks the
+    # unitarity of every kick
+    real = oracle._eigensystem
+
+    def scaled(m, mean):
+        lam, q = real(m, mean)
+        return lam, scale * q
+
+    monkeypatch.setattr(oracle, "_eigensystem", scaled)
+    with pytest.raises(DrivenLevelError):
+        oracle.propagate(model, drive, grid)
 
 
 def test_eigensystem_cache_reused():

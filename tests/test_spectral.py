@@ -1,8 +1,10 @@
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 from drivenlevel import oracle, oscquad, spectral
 from drivenlevel.errors import QuadratureFailure, TooCloseToBandEdge
@@ -124,6 +126,15 @@ def test_two_bound_states_frozen():
         assert s.residue == pytest.approx(z, rel=1e-12)
 
 
+@pytest.mark.parametrize("eps_on", [50.0, -50.0])
+def test_bound_state_far_outside_band(eps_on):
+    # E + sqrt(E^2 - 4) = 2 eps_on gives E = e + 1/e and Z = 1 - 1/e^2
+    states = find_bound_states(Semicircle(eta=1.0), eps_on)
+    assert len(states) == 1
+    assert abs(states[0].energy - (eps_on + 1.0 / eps_on)) <= 1e-12
+    assert abs(states[0].residue - (1.0 - 1.0 / eps_on ** 2)) <= 1e-12
+
+
 def test_no_bound_state_inside_band():
     assert find_bound_states(Semicircle(eta=0.8), 1.0) == []
 
@@ -169,6 +180,31 @@ def test_sum_rule_three_parameter_sets():
     for eta, eps_on in ((1.0, 2.5), (2.5, 0.5), (0.8, 1.0)):
         spec = spectrum(Semicircle(eta=eta), eps_on)
         assert spec.sum_rule == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("eps_on, want", [
+    (0.2, 0.9999999994739739),
+    (3.5, 0.99999999945943),
+    (-0.9, 0.9999999957244822)])
+def test_sum_rule_kinked_two_band(kinked_two_band, eps_on, want):
+    # frozen from an adaptive (QUADPACK) integration split at the same
+    # resonances; a node-split Gauss-Legendre reference agrees to 2e-12
+    spec = spectrum(kinked_two_band, eps_on)
+    assert abs(spec.sum_rule - want) <= 1e-10
+
+
+def test_import_leaves_out_scipy_optimize_and_integrate():
+    src = os.path.dirname(os.path.dirname(spectral.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys, drivenlevel, drivenlevel.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_spectrum_band_values_nonnegative():
