@@ -1,14 +1,23 @@
 """Independent cross-check: the level coupled to an explicit finite lattice.
 
 The reservoir continuum is replaced by n_modes discrete levels at band-cell
-midpoints with couplings v_k = sqrt(J(e_k) d_eps / 2 pi).  The one-particle
-Schroedinger equation for the (n_modes + 1)-component amplitude is then
-integrated exactly as a matrix evolution; no memory integral, no self-energy.
-Agreement with the Volterra route validates both.
+midpoints with couplings v_k = sqrt(J(e_k) d_eps / 2 pi), a star around the
+level.  The one-particle Schroedinger equation for the level's amplitude is
+then integrated exactly as a matrix evolution; no memory integral, no
+self-energy.  Agreement with the Volterra route validates both.
 
-Propagation uses the eigenbasis of the static Hamiltonian (dense symmetric
-eigendecomposition, done once and cached per drive mean).  The drive only
-moves the level's on-site energy, a rank-one perturbation, so one step is
+The star is exactly a chain (Chin, Rivas, Huelga and Plenio, J. Math.
+Phys. 51, 092109 (2010)): plain Lanczos on the mode energies, started from
+the couplings, gives a tridiagonal Hamiltonian in which the level talks to
+the first chain site only.  Amplitude runs along the chain no faster than
+2 b_max (b_max the largest hopping), so an echo from a cut at site L
+reaches the level no sooner than about L / b_max: over a span only the
+first b_max * span + CHAIN_MARGIN sites matter and the rest are cut, and
+the level's amplitude is the star's to roundoff.
+
+Propagation uses the eigenbasis of that static chain (a dense symmetric
+eigendecomposition of a few hundred sites).  The drive only moves the
+level's on-site energy, a rank-one perturbation, so one step is
 
     psi <- K(phi2) exp(-i h Lambda) K(phi1) psi,
 
@@ -19,24 +28,27 @@ factor is unitary, so the norm is conserved to roundoff; the splitting is
 second order in h.  propagate checks that at run time: a non-finite u, or a
 final |psi|^2 further than NORM_SLACK from 1, raises DrivenLevelError.
 
-The discrete spectrum recurs: beyond roughly 2 pi n_modes / bandwidth the
-mirror reflections return.  Propagation refuses to run past half that.
+The discrete star spectrum recurs: beyond roughly 2 pi n_modes / bandwidth
+the mirror reflections return.  Propagation refuses to run past half that.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .errors import ConfigError, DrivenLevelError
 from .spectral import eval_j
 # compare is the solver's own, offered here for oracle-vs-solver checks
 from .volterra import PropagatorTrace, compare
 
-_MEAN_KEY_DECIMALS = 12
 # |psi|^2 drift allowed at the end of a run: the README run (2000 modes,
 # 20 000 steps) drifts by 8e-13, so this leaves three decades of headroom
 NORM_SLACK = 1e-9
+# chain sites kept beyond the light cone b_max * span (chain_hamiltonian).
+# Against the whole star on the README run (2000 modes, t = 200) a margin of
+# 10 / 20 / 30 / 50 misses by 5.7e-5 / 1.3e-8 / 5.4e-13 / 2.4e-13; 20 also
+# fails tests/test_oracle.py's 1e-12 chain-vs-star cases and 30 passes them
+CHAIN_MARGIN = 50
 
 
 @dataclass(eq=False)
@@ -48,7 +60,6 @@ class LatticeModel:
     eps_s: float
     energies: np.ndarray
     couplings: np.ndarray
-    _eig_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def bandwidth(self):
@@ -66,14 +77,18 @@ def discretize(sd, n_modes, eps_s=0.0):
     """Midpoint discretization of the band(s) into n_modes reservoir levels.
 
     Modes are split across band intervals proportionally to their widths so
-    the level spacing is uniform throughout.
+    the level spacing is uniform throughout; every band needs at least one.
     """
     if n_modes < 2:
         raise ConfigError(f"n_modes must be >= 2, got {n_modes}")
     widths = [hi - lo for lo, hi in sd.band]
     total = sum(widths)
-    counts = [max(1, int(round(n_modes * w / total))) for w in widths]
-    counts[-1] += n_modes - sum(counts)
+    counts = [max(1, int(round(n_modes * w / total))) for w in widths[:-1]]
+    counts.append(n_modes - sum(counts))
+    if counts[-1] < 1:
+        raise ConfigError(
+            f"n_modes {n_modes} is too few for {len(widths)} bands "
+            f"(mode counts {counts})")
     energies, couplings = [], []
     for (lo, hi), m in zip(sd.band, counts):
         de = (hi - lo) / m
@@ -84,26 +99,43 @@ def discretize(sd, n_modes, eps_s=0.0):
                         np.concatenate(energies), np.concatenate(couplings))
 
 
-def static_hamiltonian(model, mean=0.0):
-    """(n+1) x (n+1) symmetric matrix; index 0 is the system level."""
-    n = model.n_modes
-    h = np.zeros((n + 1, n + 1))
-    h[0, 0] = model.eps_s + mean
-    h[0, 1:] = model.couplings
-    h[1:, 0] = model.couplings
-    h[np.arange(1, n + 1), np.arange(1, n + 1)] = model.energies
-    return h
+def chain_hamiltonian(model, span, mean=0.0):
+    """(L+1)-site tridiagonal Hamiltonian; index 0 is the system level.
+
+    Plain Lanczos on diag(energies) from the couplings (the discretized
+    Stieltjes procedure) maps the star onto a chain: the level, at
+    eps_s + mean, couples to chain site 1 with |couplings|, site k has
+    on-site a_k and hops to k+1 with b_k.  An echo from the chain's end
+    needs about L / b_max to return to the level, so the chain stops at
+    L >= b_max * span + CHAIN_MARGIN, or when it holds every coupled mode
+    (then it is the whole star).
+    """
+    c0 = float(np.linalg.norm(model.couplings))
+    n_coupled = int(np.count_nonzero(model.couplings))
+    e = model.energies
+    a, b = [], []
+    if n_coupled:
+        v, v_prev, b_prev, b_max = model.couplings / c0, 0.0, 0.0, 0.0
+        while True:
+            w = e * v
+            a.append(float(v @ w))
+            if len(a) == n_coupled:
+                break
+            w -= a[-1] * v + b_prev * v_prev
+            b_prev = float(np.linalg.norm(w))
+            b_max = max(b_max, b_prev)
+            if len(a) >= b_max * span + CHAIN_MARGIN:
+                break
+            b.append(b_prev)
+            v_prev, v = v, w / b_prev
+    off = ([c0] + b)[:len(a)]
+    return (np.diag([model.eps_s + mean] + a)
+            + np.diag(off, 1) + np.diag(off, -1))
 
 
-def _eigensystem(model, mean):
-    key = round(float(mean), _MEAN_KEY_DECIMALS)
-    hit = model._eig_cache.get(key)
-    if hit is None:
-        lam, vecs = linalg.eigh(static_hamiltonian(model, mean))
-        q = np.ascontiguousarray(vecs[0, :])   # level's row = e0 in eigenbasis
-        model._eig_cache[key] = (lam, q)
-        hit = (lam, q)
-    return hit
+def _eigensystem(model, mean, span):
+    lam, vecs = np.linalg.eigh(chain_hamiltonian(model, span, mean))
+    return lam, np.ascontiguousarray(vecs[0, :])   # level's row = e0
 
 
 def propagate(model, drive, grid):
@@ -119,7 +151,7 @@ def propagate(model, drive, grid):
         raise ConfigError(
             f"span {span:.1f} exceeds trust horizon {horizon:.1f}; "
             f"increase n_modes")
-    lam, q = _eigensystem(model, drive.mean)
+    lam, q = _eigensystem(model, drive.mean, span)
     h = grid.h
     t = grid.times()
     phase_step = np.exp(-1j * h * lam)

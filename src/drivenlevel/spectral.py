@@ -212,6 +212,30 @@ def _delta_tabulated(sd, eps):
     return total.reshape(eps.shape)
 
 
+def _delta_tabulated_derivative(sd, eps):
+    """d/d eps of `_delta_tabulated`'s cell sum, exactly (scalar eps).
+
+    Differentiating c*log|eps - x0| - c*log|eps - x1| per cell gives the
+    slope times the log ratio plus c*(1/(eps - x0) - 1/(eps - x1)).  J is
+    continuous inside a band, so neighbouring cells' lines meet at each
+    interior node and the c/(eps - x) terms telescope to the band's own
+    ends, J(lo)/(eps - lo) - J(hi)/(eps - hi).  The log ratio is
+    log|1 + r| with r = (x1 - x0)/(eps - x1), taken by log1p off the cell,
+    so it keeps full relative precision where it is small.
+    """
+    total = 0.0
+    for lo, hi in sd.band:
+        x, jv = _interval_nodes(sd, lo, hi)
+        dx = np.diff(x)
+        b = np.diff(jv) / dx
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = dx / (eps - x[1:])
+            log_ratio = np.where(r > -1.0, np.log1p(r), np.log(-1.0 - r))
+        total += (float(b @ log_ratio)
+                  + jv[0] / (eps - lo) - jv[-1] / (eps - hi))
+    return total / (2.0 * np.pi)
+
+
 def self_energy(sd, eps):
     """SelfEnergyValue at real eps: level shift and local J."""
     if is_decoupled(sd):
@@ -227,7 +251,9 @@ def self_energy_derivative(sd, eps):
     """d Delta / d eps at real eps.
 
     Diverges at band edges, so evaluation inside DERIVATIVE_FLOOR of an
-    edge raises TooCloseToBandEdge.
+    edge raises TooCloseToBandEdge.  A table's derivative also diverges,
+    logarithmically, at an interior node where its slope jumps; exactly
+    at such a node the value is not finite.
     """
     if is_decoupled(sd):
         return 0.0
@@ -243,11 +269,7 @@ def self_energy_derivative(sd, eps):
         if abs(x) <= r:
             return half
         return half * (1.0 - abs(x) / math.sqrt(x * x - r * r))
-    # tabulated: symmetric difference, step limited by the edge distance
-    step = min(1e-4, 0.25 * dist)
-    dp = _delta_tabulated(sd, eps + step)
-    dm = _delta_tabulated(sd, eps - step)
-    return (dp - dm) / (2.0 * step)
+    return _delta_tabulated_derivative(sd, eps)
 
 
 def _gap_regions(sd):

@@ -103,6 +103,20 @@ def test_oracle_compare(tmp_path, capsys):
     assert payload["trust_horizon"] > 5.0
 
 
+def test_oracle_compare_too_few_modes_is_config_error(tmp_path, capsys):
+    three_bands = {"kind": "tabulated",
+                   "grid": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 5.1],
+                   "values": [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0],
+                   "band": [[0.0, 1.0], [2.0, 3.0], [4.0, 5.1]]}
+    cfg = write_config(tmp_path, spectral_density=three_bands,
+                       grid={"t_max": 1.0, "h": 0.02},
+                       oracle={"n_modes": 2})
+    code = main(["oracle-compare", "--config", cfg])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "n_modes 2" in err
+
+
 def test_sweep_command(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     sweep = {"axes": [{"name": "period", "values": [1.25, 1.32]}],

@@ -93,6 +93,42 @@ def test_self_energy_derivative_fd_consistency():
         assert d == pytest.approx(fd, rel=2e-4, abs=1e-8)
 
 
+def _tabulated_shift_slope_mp(sd, eps):
+    """40-digit derivative of the tabulated cell sum, cell by cell."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        e = mp.mpf(eps)
+        total = mp.mpf(0)
+        for lo, hi in sd.band:
+            x, jv = spectral._interval_nodes(sd, lo, hi)
+            for x0, x1, j0, j1 in zip(x[:-1], x[1:], jv[:-1], jv[1:]):
+                x0, x1, j0, j1 = map(mp.mpf, (x0, x1, j0, j1))
+                b = (j1 - j0) / (x1 - x0)
+                c = j0 + b * (e - x0)
+                total += (b * (mp.log(abs(e - x0)) - mp.log(abs(e - x1)))
+                          + c * (1 / (e - x0) - 1 / (e - x1)))
+        return float(total / (2 * mp.pi))
+
+
+def test_tabulated_derivative_is_exact():
+    _, tab = make_tabulated(eta=1.0, n=8001)
+    for eps in (2.5, 2.9, -3.1):
+        want = _tabulated_shift_slope_mp(tab, eps)
+        assert self_energy_derivative(tab, eps) == pytest.approx(
+            want, rel=1e-14)
+    # inside a band and in the gap of a coarse two-band table
+    tb = two_band_table()
+    for eps in (1.7, -2.2, 0.0, -1.2):
+        want = _tabulated_shift_slope_mp(tb, eps)
+        assert self_energy_derivative(tb, eps) == pytest.approx(
+            want, rel=1e-14)
+    # the residue is smooth in the root: 1e-13 moves it by O(1e-14)
+    state = find_bound_states(tab, 2.5)[0]
+    z = [1.0 / (1.0 - self_energy_derivative(tab, state.energy + d))
+         for d in np.linspace(-1e-13, 1e-13, 9)]
+    assert max(z) - min(z) <= 1e-13
+
+
 def test_derivative_refuses_band_edge():
     sd = Semicircle(eta=1.0)
     with pytest.raises(TooCloseToBandEdge):
@@ -187,10 +223,18 @@ def test_sum_rule_three_parameter_sets():
     (3.5, 0.99999999945943),
     (-0.9, 0.9999999957244822)])
 def test_sum_rule_kinked_two_band(kinked_two_band, eps_on, want):
-    # frozen from an adaptive (QUADPACK) integration split at the same
-    # resonances; a node-split Gauss-Legendre reference agrees to 2e-12
+    # want was frozen from an adaptive (QUADPACK) integration split at the
+    # same resonances (a node-split Gauss-Legendre reference agrees to
+    # 2e-12), plus the residue of the then finite-difference shift slope,
+    # which was off by 5e-10 to 4e-9; that residue is frozen here so the
+    # continuum is checked on its own, and the exact residues must close
+    # the sum rule
+    frozen_residue = {0.2: 0.849202541279169, 3.5: 0.8860813245124165,
+                      -0.9: 0.7403593425288385}[eps_on]
     spec = spectrum(kinked_two_band, eps_on)
-    assert abs(spec.sum_rule - want) <= 1e-10
+    continuum = spec.sum_rule - sum(s.residue for s in spec.bound)
+    assert abs(continuum - (want - frozen_residue)) <= 1e-10
+    assert abs(spec.sum_rule - 1.0) <= 1e-11
 
 
 def test_import_leaves_out_scipy_optimize_and_integrate():
@@ -199,8 +243,8 @@ def test_import_leaves_out_scipy_optimize_and_integrate():
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
     code = ("import sys, drivenlevel, drivenlevel.cli; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') "
-            "if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate', "
+            "'scipy.linalg') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True,
                          timeout=120)
