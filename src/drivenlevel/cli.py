@@ -47,8 +47,7 @@ def _print_json(obj):
 def _svg_from_traces(path, labeled_traces, title):
     curves = [(tr.times(), tr.magnitude(), label)
               for tr, label in labeled_traces]
-    _emit(path, lambda p: line_plot(p, curves, title=title,
-                                    xlabel="t", ylabel="|u|"))
+    _emit(path, lambda p: line_plot(p, curves, title=title, ylabel="|u|"))
 
 
 def cmd_bound_states(cfg, args):

@@ -8,9 +8,9 @@ the drive's spectrum bridges at first order, a missing one needs an n-quantum
 process of the fundamental.
 
 The rule ignores the drive amplitude, so it degrades for strong driving; a
-report whose peak modulation reaches strong_threshold (default: half the
-state's distance to the nearest band edge) is flagged unreliable rather than
-trusted.
+report whose peak modulation reaches half the state's distance to the
+nearest band edge is flagged unreliable rather than trusted.  All comb
+orders up to N_MAX are tested.
 """
 
 from dataclasses import dataclass
@@ -27,6 +27,7 @@ SURVIVES = "survives"
 DISSIPATES = "dissipates"
 
 _COEFF_TOL = 1e-12
+N_MAX = 12
 DEFAULT_PEAK_FLOOR = 1e-2
 
 
@@ -53,61 +54,43 @@ class CombReport:
     reliability: str
 
 
-def _normalize_band(band):
-    if not band:
-        raise ValueError("band must contain at least one interval")
-    first = band[0]
-    if np.isscalar(first):
-        band = (tuple(band),)
-    return tuple((float(lo), float(hi)) for lo, hi in band)
-
-
 def _in_band(energy, intervals):
     return any(lo <= energy <= hi for lo, hi in intervals)
 
 
-def comb_report(bound, f, band, n_max=12, strong_threshold=None):
-    """Survival verdict for one bound state under a periodic drive.
+def comb_report(bound, f, band):
+    """Survival verdict for one BoundState under a periodic drive.
 
-    bound may be a BoundState or a bare energy; band is an interval (lo, hi)
-    or a sequence of intervals.  All comb orders up to n_max are tested.
+    band is the density's tuple of (lo, hi) intervals.
     """
-    energy = getattr(bound, "energy", None)
-    residue = getattr(bound, "residue", float("nan"))
-    if energy is None:
-        energy = float(bound)
-    intervals = _normalize_band(band)
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-
+    energy = bound.energy
     dw = f.base_frequency
-    coeffs = fourier_coefficients(f, n_max)
+    coeffs = fourier_coefficients(f, N_MAX)
     present = [abs(a) + abs(b) > _COEFF_TOL for a, b in coeffs]
 
     overlaps = []
-    for n in range(1, n_max + 1):
+    for n in range(1, N_MAX + 1):
         order = 1 if present[n - 1] else n
         for sign in (+1, -1):
             shifted = energy + sign * n * dw
-            if _in_band(shifted, intervals):
+            if _in_band(shifted, band):
                 overlaps.append(CombOverlap(n, sign, float(shifted), order))
     min_order = min((o.order for o in overlaps), default=None)
     prediction = DISSIPATES if overlaps else SURVIVES
 
-    if strong_threshold is None:
-        edges = [e for lohi in intervals for e in lohi]
-        strong_threshold = 0.5 * min(abs(energy - e) for e in edges)
+    edges = [e for lohi in band for e in lohi]
+    strong_threshold = 0.5 * min(abs(energy - e) for e in edges)
     reliability = (STRONG_DRIVING_UNRELIABLE
                    if f.max_modulation() >= strong_threshold
                    else WEAK_DRIVING_VALID)
-    return CombReport(float(energy), float(residue), float(dw), int(n_max),
+    return CombReport(float(energy), float(bound.residue), float(dw), N_MAX,
                       tuple(overlaps), min_order, prediction,
                       float(strong_threshold), reliability)
 
 
-def comb_reports(states, f, band, n_max=12, strong_threshold=None):
+def comb_reports(states, f, band):
     """comb_report over a list of bound states."""
-    return [comb_report(s, f, band, n_max, strong_threshold) for s in states]
+    return [comb_report(s, f, band) for s in states]
 
 
 def _window_slice(trace, window):

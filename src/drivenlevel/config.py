@@ -134,10 +134,14 @@ class RunConfig:
             raise ConfigError("grid must be an object")
         window = raw.get("window")
         if window is not None:
-            if len(window) != 2:
-                raise ConfigError("window must be [t1, t2]")
-            window = (float(window[0]), float(window[1]))
+            try:
+                t1, t2 = window
+                window = (float(t1), float(t2))
+            except (TypeError, ValueError):
+                raise ConfigError("window must be [t1, t2]") from None
         oracle = raw.get("oracle", {})
+        if not isinstance(oracle, dict):
+            raise ConfigError("oracle must be an object")
         try:
             return cls(
                 sd=sd,

@@ -18,9 +18,11 @@ from scipy import special
 
 from .errors import KernelCoverage
 from .oscquad import angle_band_integral, phase_sum
-from .spectral import Semicircle, eval_j, is_decoupled
+from .spectral import Semicircle, _interval_nodes, eval_j, is_decoupled
 
 _LAG_ATOL = 1e-12
+# relative tolerance of the semicircle angle quadrature
+_QUAD_TOL = 1e-10
 # terms of the short-lag series; at s w <= 1 the first one dropped is
 # at most 1/22! of the zeroth
 _SERIES_TERMS = 22
@@ -46,10 +48,7 @@ def _tabulated_transform(sd, lo, hi, s):
     Term n is at most (s w)^n / n! of M_0, so _SERIES_TERMS terms reach
     roundoff.
     """
-    grid = np.asarray(sd.grid, dtype=float)
-    inner = grid[(grid > lo) & (grid < hi)]
-    x = np.concatenate(([lo], inner, [hi]))
-    jv = eval_j(sd, x)
+    x, jv = _interval_nodes(sd, lo, hi)
     b = np.diff(jv) / np.diff(x)
     # sum_k b_k (E_{k+1} - E_k) = -sum_k (b_k - b_{k-1}) E_k, with b zero
     # outside the band: one phase sum over the slope jumps
@@ -112,12 +111,11 @@ class QuadratureKernel:
     KernelCoverage rather than extrapolating.
     """
 
-    def __init__(self, sd, h, max_lag, tol=1e-10):
+    def __init__(self, sd, h, max_lag):
         if h <= 0.0 or max_lag < 0.0:
             raise ValueError("need h > 0 and max_lag >= 0")
         self.sd = sd
         self.h = float(h)
-        self.tol = tol
         n = int(np.ceil(max_lag / h - _LAG_ATOL))
         lags = h * np.arange(n + 1)
         self.cache = self._integrate(lags)
@@ -131,7 +129,7 @@ class QuadratureKernel:
         for lo, hi in self.sd.band:
             if isinstance(self.sd, Semicircle):
                 f = lambda e: eval_j(self.sd, e)
-                out += angle_band_integral(f, lo, hi, s, tol=self.tol)
+                out += angle_band_integral(f, lo, hi, s, tol=_QUAD_TOL)
             else:
                 out += _tabulated_transform(self.sd, lo, hi, s)
         return out / (2.0 * np.pi)
@@ -160,14 +158,12 @@ class QuadratureKernel:
         return self.cache[:n + 1]
 
 
-def kernel_for(sd, h=None, max_lag=None, analytic=True):
-    """Pick the natural kernel for a density.
+def kernel_for(sd, h, max_lag, analytic=True):
+    """Pick the natural kernel for a density on lags 0..max_lag at step h.
 
-    Semicircle densities default to the closed form; pass analytic=False
-    (with h and max_lag) to force the quadrature variant.
+    Semicircle densities default to the closed form (which ignores h and
+    max_lag); pass analytic=False to force the quadrature variant.
     """
     if analytic and isinstance(sd, Semicircle):
         return SemicircleKernel(sd)
-    if h is None or max_lag is None:
-        raise ValueError("quadrature kernel needs h and max_lag")
     return QuadratureKernel(sd, h, max_lag)

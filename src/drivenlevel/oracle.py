@@ -23,10 +23,14 @@ level's on-site energy, a rank-one perturbation, so one step is
 
 with K(phi) = 1 + (e^{-i phi} - 1) q q^T the exact exponential of the
 projector onto the level (q is the level's eigenbasis column) and phi the
-drive modulation integrated over each half step in closed form.  Every
-factor is unitary, so the norm is conserved to roundoff; the splitting is
-second order in h.  propagate checks that at run time: a non-finite u, or a
-final |psi|^2 further than NORM_SLACK from 1, raises DrivenLevelError.
+drive modulation integrated over each half step in closed form.  The kicks
+compose, K(a) K(b) = K(a + b), so the closing kick of one step and the
+opening kick of the next are applied as one, and the level amplitude
+q^T psi read just before it gives u by one phase: q^T K(phi) psi =
+e^{-i phi} q^T psi.  Every factor is unitary, so the norm is conserved to
+roundoff; the splitting is second order in h.  propagate checks that at
+run time: a non-finite u, or a final |psi|^2 further than NORM_SLACK from
+1, raises DrivenLevelError.
 
 The discrete star spectrum recurs: beyond roughly 2 pi n_modes / bandwidth
 the mirror reflections return.  Propagation refuses to run past half that.
@@ -161,21 +165,21 @@ def propagate(model, drive, grid):
     left = pint(t[:-1] + 0.5 * h) - pint(t[:-1])
     right = pint(t[1:]) - pint(t[:-1] + 0.5 * h)
 
+    # kick k follows phase step k: step k's closing half plus step k+1's
+    # opening half; the last step closes alone
+    kicks = (np.exp(-1j * np.append(right[:-1] + left[1:], right[-1]))
+             - 1.0).tolist()
+    reads = np.exp(-1j * right).tolist()
+
     psi = q.astype(complex)               # e0 in the eigenbasis
     u = np.empty(grid.n_steps + 1, dtype=complex)
     u[0] = q @ psi
-
-    def kick(psi, phi):
-        if phi == 0.0:
-            return psi
-        amp = q @ psi
-        return psi + (np.exp(-1j * phi) - 1.0) * amp * q
-
+    psi += (np.exp(-1j * left[0]) - 1.0) * u[0] * q
     for k in range(grid.n_steps):
-        psi = kick(psi, left[k])
-        psi = phase_step * psi
-        psi = kick(psi, right[k])
-        u[k + 1] = q @ psi
+        psi *= phase_step
+        amp = q @ psi
+        u[k + 1] = reads[k] * amp
+        psi += (kicks[k] * amp) * q
 
     bad = ~np.isfinite(u)
     if bad.any():

@@ -24,6 +24,8 @@ _SLAB = 1 << 16
 _BLOCKED_MIN = 64
 # uniformity tolerance in units of eps * max|t|
 _UNIFORM_ULPS = 8.0
+# node budget of the angle quadrature's panel doubling
+_MAX_NODES = 1 << 21
 
 
 def _uniform_step(t):
@@ -82,13 +84,14 @@ def phase_sum(x, w, t):
     return out.reshape(tt.shape)
 
 
-def angle_band_integral(f, a, b, times, tol=1e-8, n_max=1 << 21):
+def angle_band_integral(f, a, b, times, tol=1e-8):
     """∫_a^b f(x) e^{-ixt} dx for bands where f vanishes like sqrt at the edges.
 
     Substituting x = c - w cos(phi) clusters nodes at the edges and turns a
     sqrt-vanishing integrand into an analytic one, so composite Gauss-Legendre
     panels converge spectrally.  The panel count scales with the phase range
-    w * max|t|; a doubling step guards the tolerance.
+    w * max|t|; a doubling step guards the tolerance, and a band that
+    needs more than _MAX_NODES nodes raises QuadratureFailure.
     """
     t = np.atleast_1d(np.asarray(times, dtype=float))
     if t.size == 0:
@@ -125,7 +128,7 @@ def angle_band_integral(f, a, b, times, tol=1e-8, n_max=1 << 21):
         scale = max(np.max(np.abs(cur)), 1.0)
         if err <= tol * scale:
             break
-        if 16 * 2 * n > n_max:
+        if 16 * 2 * n > _MAX_NODES:
             raise QuadratureFailure(
                 f"band integral not converged at {n} panels (err {err:.2e})")
         prev = cur

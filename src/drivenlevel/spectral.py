@@ -28,6 +28,7 @@ EDGE_COLLAR = 1e-6          # roots this close to a band edge are spurious
 DERIVATIVE_FLOOR = 1e-9     # refuse derivative evaluation closer than this
 TOL_ROOT = 1e-12
 U0_BOUND_SLACK = 1e-6       # |u0| <= 1 by the sum rule; quadrature slack
+U0_TOL = 1e-8               # relative tolerance of each u0 band integral
 _SLAB = 1 << 21             # elements per temporary in the tabulated shift
 
 
@@ -105,14 +106,12 @@ class BoundState:
 class SystemSpectrum:
     """Discrete + continuum decomposition of the coupled level.
 
-    band_grid/band_values sample the continuum weight
-    J / [(eps - eps_on - Delta)^2 + J^2/4]; sum_rule is the total spectral
-    weight (residues plus continuum over 2 pi) and must come out 1.
+    sum_rule is the total spectral weight (residues plus the continuum
+    weight `band_spectral_function` integrated over 2 pi) and must come
+    out 1.
     """
 
     bound: tuple
-    band_grid: np.ndarray
-    band_values: np.ndarray
     sum_rule: float
 
 
@@ -236,14 +235,18 @@ def _delta_tabulated_derivative(sd, eps):
     return total / (2.0 * np.pi)
 
 
+def _delta(sd, eps):
+    """Level shift Delta at eps: a float for a scalar, else an array."""
+    if isinstance(sd, Semicircle):
+        return _delta_semicircle(sd, eps)
+    return _delta_tabulated(sd, eps)
+
+
 def self_energy(sd, eps):
     """SelfEnergyValue at real eps: level shift and local J."""
     if is_decoupled(sd):
         return SelfEnergyValue(0.0, 0.0)
-    if isinstance(sd, Semicircle):
-        delta = _delta_semicircle(sd, eps)
-    else:
-        delta = _delta_tabulated(sd, float(eps))
+    delta = _delta(sd, float(eps))
     return SelfEnergyValue(float(delta), float(eval_j(sd, eps)))
 
 
@@ -339,10 +342,7 @@ def band_spectral_function(sd, eps_on, eps):
     """Continuum weight J / [(eps - eps_on - Delta)^2 + J^2/4] (vectorized)."""
     eps = np.asarray(eps, dtype=float)
     j = np.asarray(eval_j(sd, eps))
-    if isinstance(sd, Semicircle):
-        delta = np.asarray(_delta_semicircle(sd, eps))
-    else:
-        delta = _delta_tabulated(sd, eps)
+    delta = np.asarray(_delta(sd, eps))
     denom = (eps - eps_on - delta) ** 2 + 0.25 * j * j
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(j > 0.0, j / denom, 0.0)
@@ -356,38 +356,24 @@ def _band_resonances(sd, eps_on):
     pts = []
     for lo, hi in sd.band:
         grid = np.linspace(lo + EDGE_COLLAR, hi - EDGE_COLLAR, 513)
-        if isinstance(sd, Semicircle):
-            vals = grid - eps_on - _delta_semicircle(sd, grid)
-        else:
-            vals = grid - eps_on - _delta_tabulated(sd, grid)
+        vals = grid - eps_on - _delta(sd, grid)
         f = lambda e: e - eps_on - self_energy(sd, e).delta
         for i in np.nonzero(np.diff(np.sign(vals)) != 0)[0]:
             pts.append(_bisect(f, grid[i], grid[i + 1], 1e-10))
     return pts
 
 
-def spectrum(sd, eps_on, n_grid=2001):
-    """Full spectral decomposition with a sum-rule check.
+def spectrum(sd, eps_on):
+    """Bound states plus a sum-rule check of the full spectral weight.
 
-    The continuum is sampled on n_grid points per band interval.  The sum
-    rule integrates it with the angle quadrature at t = 0, each band split
-    at its interior resonances (where the weight peaks sharply), and adds
-    the bound-state residues.  An integral that does not converge raises
-    QuadratureFailure.
+    The sum rule integrates the continuum weight with the angle quadrature
+    at t = 0, each band split at its interior resonances (where the weight
+    peaks sharply), and adds the bound-state residues.  An integral that
+    does not converge raises QuadratureFailure.
     """
     if is_decoupled(sd):
-        grid = np.array([float(eps_on)])
-        return SystemSpectrum((BoundState(float(eps_on), 1.0),), grid,
-                              np.zeros(1), 1.0)
+        return SystemSpectrum((BoundState(float(eps_on), 1.0),), 1.0)
     bound = tuple(find_bound_states(sd, eps_on))
-    grids, vals = [], []
-    for lo, hi in sd.band:
-        g = np.linspace(lo, hi, n_grid)
-        grids.append(g)
-        vals.append(band_spectral_function(sd, eps_on, g))
-    band_grid = np.concatenate(grids)
-    band_values = np.concatenate(vals)
-
     f = lambda e: band_spectral_function(sd, eps_on, e)
     resonances = _band_resonances(sd, eps_on)
     cont = 0.0
@@ -396,16 +382,16 @@ def spectrum(sd, eps_on, n_grid=2001):
         for a, b in zip(cuts, cuts[1:]):
             cont += angle_band_integral(f, a, b, 0.0, tol=1e-10).real
     total = sum(s.residue for s in bound) + cont / (2.0 * np.pi)
-    return SystemSpectrum(bound, band_grid, band_values, float(total))
+    return SystemSpectrum(bound, float(total))
 
 
-def compute_u0(sd, eps_on, times, tol=1e-8):
+def compute_u0(sd, eps_on, times):
     """Drive-free survival amplitude u0 at the given times (t0 = 0).
 
     Sum of bound-state phases Z_l exp(-i eps_l t) plus the oscillatory
-    continuum integral over each band interval.  u0 is an overlap of two
-    normalized states, so a non-finite value or max|u0| above 1 (plus
-    U0_BOUND_SLACK) means the quadrature failed and raises
+    continuum integral over each band interval, each to U0_TOL.  u0 is an
+    overlap of two normalized states, so a non-finite value or max|u0|
+    above 1 (plus U0_BOUND_SLACK) means the quadrature failed and raises
     QuadratureFailure.
     """
     times = np.asarray(times, dtype=float)
@@ -420,9 +406,10 @@ def compute_u0(sd, eps_on, times, tol=1e-8):
         # one quadrature for every band: at semicircle edges the continuum
         # weight vanishes like sqrt, which the angle substitution makes
         # analytic; a tabulated weight is only piecewise smooth, but the
-        # doubling still meets tol, and its node count follows the phase
+        # doubling still meets U0_TOL, and its node count follows the phase
         # range w * max|t| rather than the table, so dense tables stay cheap
-        out += angle_band_integral(f, lo, hi, times, tol=tol) / (2.0 * np.pi)
+        out += (angle_band_integral(f, lo, hi, times, tol=U0_TOL)
+                / (2.0 * np.pi))
     peak = np.max(np.abs(out), initial=0.0)
     if not peak <= 1.0 + U0_BOUND_SLACK:
         raise QuadratureFailure(

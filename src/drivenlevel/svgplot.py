@@ -1,13 +1,14 @@
 """Minimal SVG line plots, no plotting dependency.
 
-Good enough for |u(t)| curves: polylines on a framed axis box with nice
-ticks, labels and an optional legend.
+Good enough for |u(t)| curves against t: polylines on a framed axis box
+with nice ticks, labels and an optional legend.
 """
 
 import numpy as np
 
 _COLORS = ("#1f5fa8", "#c44e52", "#2a8a5c", "#8172b2", "#937860")
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64.0, 16.0, 28.0, 46.0
+_WIDTH, _HEIGHT = 720, 440
 
 
 def _nice_ticks(lo, hi, target=6):
@@ -34,8 +35,8 @@ def _fmt_tick(v):
     return s
 
 
-def line_plot(path, curves, title="", xlabel="t", ylabel="", size=(720, 440)):
-    """Write an SVG of the given curves.
+def line_plot(path, curves, title="", ylabel=""):
+    """Write an SVG of the given curves against t.
 
     curves: iterable of (x, y, label); label may be "" to skip the legend
     entry.  Axis limits come from the data, y is padded slightly and pinned
@@ -45,7 +46,7 @@ def line_plot(path, curves, title="", xlabel="t", ylabel="", size=(720, 440)):
               for x, y, label in curves]
     if not curves:
         raise ValueError("need at least one curve")
-    w, h = size
+    w, h = _WIDTH, _HEIGHT
     x_lo = min(float(np.nanmin(x)) for x, _, _ in curves)
     x_hi = max(float(np.nanmax(x)) for x, _, _ in curves)
     y_lo = min(float(np.nanmin(y)) for _, y, _ in curves)
@@ -102,7 +103,7 @@ def line_plot(path, curves, title="", xlabel="t", ylabel="", size=(720, 440)):
                    f'{title}</text>')
     out.append(f'<text x="{_MARGIN_L + px_w / 2:.0f}" y="{h - 10:.0f}" '
                f'font-size="12" text-anchor="middle" '
-               f'font-family="sans-serif">{xlabel}</text>')
+               f'font-family="sans-serif">t</text>')
     if ylabel:
         yc = _MARGIN_T + px_h / 2
         out.append(f'<text x="16" y="{yc:.0f}" font-size="12" '

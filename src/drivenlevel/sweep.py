@@ -116,10 +116,10 @@ def spec_hash(spec):
 
 
 def _apply_point(sd, drive, point):
+    """sd and drive at one point; SweepSpec has checked that an eta axis
+    comes with a semicircle density."""
     for name, value in point.items():
         if name == "eta":
-            if not isinstance(sd, Semicircle):
-                raise ConfigError("eta axis needs a semicircle density")
             sd = dataclasses.replace(sd, eta=value)
         else:
             drive = dataclasses.replace(drive, **{name: value})

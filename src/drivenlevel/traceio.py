@@ -2,8 +2,8 @@
 
 Layout: one '#'-prefixed JSON metadata line, then a header row and one row
 per node with t, re_u, im_u, abs_u (extra columns pass through untouched).
-The metadata carries the grid and, when the caller supplies one, the full
-run configuration, so a trace file is self-describing.
+The metadata carries the grid and the full run configuration, so a trace
+file is self-describing.
 """
 
 import csv
@@ -20,12 +20,12 @@ FORMAT_VERSION = 1
 _CHUNK_ROWS = 8192
 
 
-def write_trace(path, trace, config=None, extra_columns=None):
+def write_trace(path, trace, config, extra_columns=None):
     """Write a trace to CSV.
 
+    config: JSON-serializable dict stored in the metadata line.
     extra_columns: optional dict name -> array (same length as the trace),
-    appended after abs_u.  config: JSON-serializable dict stored in the
-    metadata line.
+    appended after abs_u.
     """
     grid = trace.grid
     meta = {
@@ -34,9 +34,8 @@ def write_trace(path, trace, config=None, extra_columns=None):
         "t0": grid.t0,
         "h": grid.h,
         "n_steps": grid.n_steps,
+        "config": config,
     }
-    if config is not None:
-        meta["config"] = config
     extras = extra_columns or {}
     for name, col in extras.items():
         if len(col) != grid.n_steps + 1:

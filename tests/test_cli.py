@@ -140,6 +140,19 @@ def test_missing_config_is_config_error(tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("block", [
+    {"window": 5},
+    {"window": ["a", 1]},
+    {"oracle": 5},
+], ids=["window-number", "window-text", "oracle-number"])
+def test_malformed_block_is_config_error(tmp_path, capsys, block):
+    cfg = write_config(tmp_path, **block)
+    code = main(["bound-states", "--config", cfg])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "config error" in err
+
+
 def test_missing_drive_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, drive=None)
     code = main(["evolve", "--config", cfg])

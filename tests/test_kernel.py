@@ -122,12 +122,8 @@ def test_lag_coverage_errors():
 
 def test_kernel_for_dispatch():
     sd = Semicircle(eta=1.0)
-    assert isinstance(kernel_for(sd), SemicircleKernel)
+    assert isinstance(kernel_for(sd, 0.1, 1.0), SemicircleKernel)
     assert isinstance(kernel_for(sd, 0.1, 1.0, analytic=False),
                       QuadratureKernel)
-    with pytest.raises(ValueError):
-        kernel_for(sd, analytic=False)
     tab = Tabulated((-1.0, 0.0, 1.0), (0.0, 1.0, 0.0), ((-1.0, 1.0),))
     assert isinstance(kernel_for(tab, 0.1, 1.0), QuadratureKernel)
-    with pytest.raises(ValueError):
-        kernel_for(tab)

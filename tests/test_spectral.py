@@ -252,9 +252,11 @@ def test_import_leaves_out_scipy_optimize_and_integrate():
 
 
 def test_spectrum_band_values_nonnegative():
-    spec = spectrum(Semicircle(eta=1.0), 2.5)
-    assert np.all(spec.band_values >= 0.0)
-    assert len(spec.bound) == 1
+    sd = Semicircle(eta=1.0)
+    lo, hi = sd.band[0]
+    values = band_spectral_function(sd, 2.5, np.linspace(lo, hi, 2001))
+    assert np.all(values >= 0.0)
+    assert len(spectrum(sd, 2.5).bound) == 1
 
 
 def test_u0_decoupled_is_pure_phase():

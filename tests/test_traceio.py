@@ -36,20 +36,18 @@ def test_extra_columns_round_trip(tmp_path):
     tr = sample_trace(10)
     ref = np.abs(np.cos(tr.grid.times()))
     path = tmp_path / "trace.csv"
-    write_trace(path, tr, extra_columns={"ref": ref})
+    write_trace(path, tr, {}, extra_columns={"ref": ref})
     text = path.read_text()
     assert "ref" in text.splitlines()[1].split(",")
     back, _ = read_trace(path)   # extra columns are tolerated
     assert back.grid.n_steps == 10
 
 
-def _write_trace_csv_writer(path, trace, config=None, extra_columns=None):
+def _write_trace_csv_writer(path, trace, config, extra_columns=None):
     """Reference writer: one csv.writer row per node, one format per cell."""
     grid = trace.grid
     meta = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "t0": grid.t0,
-            "h": grid.h, "n_steps": grid.n_steps}
-    if config is not None:
-        meta["config"] = config
+            "h": grid.h, "n_steps": grid.n_steps, "config": config}
     extras = extra_columns or {}
     u = trace.values
     with open(path, "w", newline="") as fh:
@@ -98,7 +96,7 @@ def test_foreign_format_rejected(tmp_path):
 def test_truncated_rows_rejected(tmp_path):
     tr = sample_trace(5)
     path = tmp_path / "trace.csv"
-    write_trace(path, tr)
+    write_trace(path, tr, {})
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-2]) + "\n")
     with pytest.raises(ConfigError):
@@ -119,7 +117,7 @@ def test_svg_plot_structure(tmp_path):
     path = tmp_path / "plot.svg"
     line_plot(path, [(t, np.abs(tr.values), "|u|"),
                      (t, 0.5 * np.ones_like(t), "floor")],
-              title="survival", xlabel="t", ylabel="|u(t)|")
+              title="survival", ylabel="|u(t)|")
     text = path.read_text()
     assert text.startswith("<svg")
     assert text.count("<polyline") >= 2
