@@ -71,7 +71,7 @@ def cmd_u0(cfg, args):
     grid = aligned_grid(0.0, cfg.t_max, cfg.h)
     values = compute_u0(cfg.sd, cfg.eps_on, grid.times())
     trace = PropagatorTrace(grid, values)
-    out = cfg.output.get("trace", "u0.csv")
+    out = cfg.output.get("trace") or "u0.csv"
     _emit(out, lambda p: write_trace(p, trace, config=cfg.to_dict()))
     svg = cfg.output.get("svg")
     if svg:
@@ -95,7 +95,7 @@ def cmd_evolve(cfg, args):
         extra = {"re_u0": u0.real, "im_u0": u0.imag, "abs_u0": np.abs(u0)}
         labeled.append((PropagatorTrace(grid, u0), "driving-free"))
 
-    out = cfg.output.get("trace", "trace.csv")
+    out = cfg.output.get("trace") or "trace.csv"
     _emit(out, lambda p: write_trace(p, trace, config=cfg.to_dict(),
                                      extra_columns=extra))
     svg = cfg.output.get("svg")
@@ -148,10 +148,13 @@ def cmd_sweep(cfg, args):
         out = block["out"]
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad sweep block: {exc}") from None
+    workers = block.get("workers")
+    if workers is not None and (type(workers) is not int or workers < 1):
+        raise ConfigError("sweep.workers must be a positive integer or null")
     spec = SweepSpec(sd=cfg.sd, eps_s=cfg.eps_s, drive=cfg.drive,
                      t_max=cfg.t_max, h=cfg.h, window=cfg.window,
                      axes=axes, out_path=out)
-    computed = run_sweep(spec, workers=block.get("workers"))
+    computed = run_sweep(spec, workers=workers)
     _print_json({"out": out, "rows_computed": computed,
                  "rows_total": spec.n_points()})
     return EXIT_OK

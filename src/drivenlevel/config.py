@@ -142,6 +142,14 @@ class RunConfig:
         oracle = raw.get("oracle", {})
         if not isinstance(oracle, dict):
             raise ConfigError("oracle must be an object")
+        output = raw.get("output", {})
+        if not isinstance(output, dict):
+            raise ConfigError("output must be an object")
+        for key in ("trace", "svg", "report"):
+            if not isinstance(output.get(key), (str, type(None))):
+                raise ConfigError(f"output.{key} must be a file name or null")
+        if not isinstance(output.get("overlay_u0", False), bool):
+            raise ConfigError("output.overlay_u0 must be true or false")
         try:
             return cls(
                 sd=sd,
@@ -152,7 +160,7 @@ class RunConfig:
                 window=window,
                 n_modes=int(oracle.get("n_modes", 2000)),
                 sweep=raw.get("sweep"),
-                output=dict(raw.get("output", {})),
+                output=dict(output),
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad config value: {exc}") from None

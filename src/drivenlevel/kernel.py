@@ -1,20 +1,27 @@
 """Reservoir memory kernel g(s) = (1/2pi) int J(eps) e^{-i eps s} d eps.
 
-The semicircle band has the closed form
+The semicircle band J = eta^2 sqrt(r^2 - (eps - eps0)^2), r = 2 v0, has the
+closed form
     g(s) = eta^2 v0 e^{-i eps0 s} J1(2 v0 s) / s,       g(0) = eta^2 v0^2,
-so its kernel is evaluated analytically (J1 from scipy, which uses the usual
-series/asymptotic split at argument 8).  The quadrature variant transforms
-J e^{-i eps s} directly (cell-exact for tabulated densities) and caches
-values on the solver's lag grid; cached lags are the only fast path,
-interpolation between them is deliberately not offered.  Both quadratures
-end in `oscquad.phase_sum`, and the lag grid s = k*h is uniform, so the
-cache is built by its blocked path: about 2 sqrt(n) exponentials per node
-for n lags instead of n.  Immutable after construction, safe to share
-across workers.
+which defines it.  It is evaluated by Gauss-Chebyshev quadrature of the
+second kind: with eps = eps0 + r y the integral has the weight
+sqrt(1 - y^2), and n nodes y_k = cos(theta_k), theta_k = k pi / (n + 1),
+integrate it exactly up to degree 2n + 1, so g is the phase sum over
+x_k = eps0 + r y_k with weights (eta r sin(theta_k))^2 / (2 (n + 1)).
+e^{-i r y s} needs n a little over r max|s| / 2.  The nodes pair up as
++-y_k with equal weights, so n is even and the sum runs over the m = n/2
+positive ones: g = e^{-i eps0 s} Re sum_k 2 w_k e^{-i r y_k s}.
+
+The quadrature variant transforms J e^{-i eps s} directly (cell-exact for
+tabulated densities) and caches values on the solver's lag grid; cached
+lags are the only fast path, interpolation between them is deliberately not
+offered.  Every kernel ends in `oscquad.phase_sum`, and the lag grid
+s = k*h is uniform, so lag samples take its blocked path: about 2 sqrt(n)
+exponentials per node for n lags instead of n.  Immutable after
+construction, safe to share across workers.
 """
 
 import numpy as np
-from scipy import special
 
 from .errors import KernelCoverage
 from .oscquad import angle_band_integral, phase_sum
@@ -23,6 +30,13 @@ from .spectral import Semicircle, _interval_nodes, eval_j, is_decoupled
 _LAG_ATOL = 1e-12
 # relative tolerance of the semicircle angle quadrature
 _QUAD_TOL = 1e-10
+# Gauss-Chebyshev nodes beyond n = a/2 + 4 a^{1/3}, a = 2 v0 max|s| the
+# phase range.  Max error / g(0) against the J1 closed form over
+# (eta, eps0, v0) in {(1,0,1), (0.8,0,1), (2.5,0,1), (1.3,0.7,1.7)} and
+# lag grids up to a = 5780: margin 0: 5.4e-11, 4: 2.4e-12, 8: 3.6e-13,
+# 12: 6.0e-14, 16: 2.1e-14, the roundoff floor (18 to 22 give 2.6e-14 to
+# 3.6e-14)
+_CHEB_MARGIN = 16
 # terms of the short-lag series; at s w <= 1 the first one dropped is
 # at most 1/22! of the zeroth
 _SERIES_TERMS = 22
@@ -78,7 +92,8 @@ def _tabulated_transform(sd, lo, hi, s):
 
 
 class SemicircleKernel:
-    """Closed-form memory kernel of a semicircle band."""
+    """Memory kernel of a semicircle band: the J1 closed form, evaluated by
+    a Gauss-Chebyshev phase sum with enough nodes for the largest lag."""
 
     def __init__(self, sd):
         if not isinstance(sd, Semicircle):
@@ -86,14 +101,17 @@ class SemicircleKernel:
         self.sd = sd
 
     def eval(self, s):
-        """g at lag(s) s >= 0 (vectorized; the s -> 0 limit is handled)."""
+        """g at lag(s) s (vectorized; complex for a scalar s)."""
         s = np.asarray(s, dtype=float)
         sd = self.sd
-        arg = 2.0 * sd.v0 * s
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = np.where(s > 0.0, special.j1(arg) / np.where(s > 0.0, s, 1.0),
-                             sd.v0)
-        out = sd.eta ** 2 * sd.v0 * np.exp(-1j * sd.eps0 * s) * ratio
+        r = 2.0 * sd.v0
+        a = r * float(np.max(np.abs(s), initial=0.0))
+        # the positive half of n = 2m nodes, each weight doubled
+        m = int(np.ceil(0.25 * a + 2.0 * np.cbrt(a) + 0.5 * _CHEB_MARGIN))
+        theta = np.arange(1, m + 1) * (np.pi / (2 * m + 1))
+        w = (sd.eta * r * np.sin(theta)) ** 2 / (2 * m + 1)
+        out = (np.exp(-1j * sd.eps0 * s)
+               * phase_sum(r * np.cos(theta), w, s).real)
         if out.ndim == 0:
             return complex(out)
         return out

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import drivenlevel
 from drivenlevel.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from drivenlevel.config import RunConfig
 from drivenlevel.traceio import read_trace
@@ -85,6 +89,26 @@ def test_u0_command(tmp_path, capsys, monkeypatch):
     assert payload["final_magnitude"] > 0.7
 
 
+def test_commands_run_without_scipy(tmp_path):
+    # a None entry in sys.modules makes every scipy import fail
+    src = os.path.dirname(os.path.dirname(drivenlevel.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    cfg = write_config(tmp_path, oracle={"n_modes": 400},
+                       output={"trace": "run.csv", "overlay_u0": True})
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from drivenlevel.cli import main\n"
+            "for cmd in ('evolve', 'u0', 'oracle-compare'):\n"
+            "    rc = main([cmd, '--config', sys.argv[1]])\n"
+            "    if rc:\n"
+            "        sys.exit(f'{cmd} exited {rc}')")
+    out = subprocess.run([sys.executable, "-c", code, cfg], env=env,
+                         cwd=tmp_path, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+
+
 def test_comb_command(tmp_path, capsys):
     cfg = write_config(tmp_path)
     code, payload = run(capsys, "comb", "--config", cfg)
@@ -140,17 +164,45 @@ def test_missing_config_is_config_error(tmp_path, capsys):
     assert "config error" in err
 
 
-@pytest.mark.parametrize("block", [
-    {"window": 5},
-    {"window": ["a", 1]},
-    {"oracle": 5},
-], ids=["window-number", "window-text", "oracle-number"])
-def test_malformed_block_is_config_error(tmp_path, capsys, block):
+def _sweep_block(workers):
+    return {"grid": {"t_max": 1.0, "h": 0.02}, "window": [0.5, 1.0],
+            "sweep": {"axes": [{"name": "period", "values": [1.25]}],
+                      "out": "sweep.csv", "workers": workers}}
+
+
+@pytest.mark.parametrize("command, block", [
+    ("bound-states", {"window": 5}),
+    ("bound-states", {"window": ["a", 1]}),
+    ("bound-states", {"oracle": 5}),
+    ("evolve", {"output": {"trace": 5}}),
+    ("evolve", {"output": {"svg": True}}),
+    ("bound-states", {"output": {"report": ["r.json"]}}),
+    ("evolve", {"output": {"overlay_u0": "yes"}}),
+    ("sweep", _sweep_block("two")),
+    ("sweep", _sweep_block(0)),
+    ("sweep", _sweep_block(1.5)),
+], ids=["window-number", "window-text", "oracle-number", "trace-number",
+        "svg-bool", "report-list", "overlay-text", "workers-text",
+        "workers-zero", "workers-float"])
+def test_malformed_block_is_config_error(tmp_path, capsys, monkeypatch,
+                                         command, block):
+    monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, **block)
-    code = main(["bound-states", "--config", cfg])
+    code = main([command, "--config", cfg])
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert "config error" in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_null_trace_takes_default_name(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, drive=None, grid={"t_max": 1.0, "h": 0.02},
+                       output={"trace": None})
+    code, payload = run(capsys, "u0", "--config", cfg)
+    assert code == EXIT_OK
+    assert payload["trace"] == "u0.csv"
+    assert (tmp_path / "u0.csv").exists()
 
 
 def test_missing_drive_is_config_error(tmp_path, capsys):

@@ -2,6 +2,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import j1
 
 from drivenlevel.errors import KernelCoverage
 from drivenlevel.kernel import QuadratureKernel, SemicircleKernel, kernel_for
@@ -30,6 +31,37 @@ def test_matches_brute_force():
     for s in (0.0, 0.05, 0.7, 3.0, 11.0, 40.0):
         want = brute_force_kernel(sd, s)
         assert kern.eval(s) == pytest.approx(want, abs=1e-10)
+
+
+def bessel_kernel(sd, s):
+    """eta^2 v0 e^{-i eps0 s} J1(2 v0 s)/s, with its s -> 0 limit."""
+    s = np.asarray(s, dtype=float)
+    safe = np.where(s == 0.0, 1.0, s)
+    ratio = np.where(s == 0.0, sd.v0, j1(2.0 * sd.v0 * safe) / safe)
+    return sd.eta ** 2 * sd.v0 * np.exp(-1j * sd.eps0 * s) * ratio
+
+
+@pytest.mark.parametrize("eta, eps0, v0", [
+    (1.0, 0.0, 1.0), (0.8, 0.0, 1.0), (2.5, 0.0, 1.0), (1.3, 0.7, 1.7)])
+def test_chebyshev_sum_matches_bessel_closed_form(eta, eps0, v0):
+    sd = Semicircle(eta=eta, eps0=eps0, v0=v0)
+    kern = SemicircleKernel(sd)
+    tol = 1e-12 * eta ** 2 * v0 ** 2
+    # uniform lag grids (phase_sum's blocked path), the longer one out to a
+    # phase range 2 v0 max(s) of 3000
+    n_long = int(np.ceil(3000.0 / (2.0 * v0 * 0.02)))
+    for h, n in ((0.05, 100), (0.02, n_long)):
+        want = bessel_kernel(sd, h * np.arange(n + 1))
+        assert np.max(np.abs(kern.lag_samples(h, n) - want)) <= tol
+    # scalars, s = 0 among them, and non-uniform arrays (direct path)
+    for s in (0.0, 1e-9, 0.37, 12.0, 900.0):
+        got = kern.eval(s)
+        assert isinstance(got, complex)
+        assert abs(got - bessel_kernel(sd, s)) <= tol
+    rng = np.random.default_rng(7)
+    for s in (np.sort(rng.uniform(0.0, 400.0, 50)),
+              np.geomspace(1e-6, 900.0, 300)):
+        assert np.max(np.abs(kern.eval(s) - bessel_kernel(sd, s))) <= tol
 
 
 def test_analytic_vs_quadrature_cache():

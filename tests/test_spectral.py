@@ -243,8 +243,8 @@ def test_import_leaves_out_scipy_optimize_and_integrate():
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
     code = ("import sys, drivenlevel, drivenlevel.cli; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate', "
-            "'scipy.linalg') if m in sys.modules))")
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True,
                          timeout=120)
