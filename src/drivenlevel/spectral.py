@@ -221,17 +221,31 @@ def _delta_tabulated_derivative(sd, eps):
     ends, J(lo)/(eps - lo) - J(hi)/(eps - hi).  The log ratio is
     log|1 + r| with r = (x1 - x0)/(eps - x1), taken by log1p off the cell,
     so it keeps full relative precision where it is small.
+
+    Exactly at a table node the log ratios of its two cells meet as +inf
+    and -inf.  Regrouped by node, the log terms are
+    sum_k (b_k - b_{k-1}) log|eps - x_k|, so the value is -inf times the
+    slope jump there, or the finite rest of that sum if the slope does not
+    jump.
     """
     total = 0.0
     for lo, hi in sd.band:
         x, jv = _interval_nodes(sd, lo, hi)
         dx = np.diff(x)
         b = np.diff(jv) / dx
+        ends = jv[0] / (eps - lo) - jv[-1] / (eps - hi)
+        hit = np.flatnonzero(x == eps)
+        if hit.size:
+            jumps = np.diff(np.concatenate(([0.0], b, [0.0])))
+            if jumps[hit[0]] != 0.0:
+                return -math.copysign(math.inf, jumps[hit[0]])
+            rest = np.delete(np.arange(x.size), hit[0])
+            total += float(jumps[rest] @ np.log(np.abs(eps - x[rest]))) + ends
+            continue
         with np.errstate(divide="ignore", invalid="ignore"):
             r = dx / (eps - x[1:])
             log_ratio = np.where(r > -1.0, np.log1p(r), np.log(-1.0 - r))
-        total += (float(b @ log_ratio)
-                  + jv[0] / (eps - lo) - jv[-1] / (eps - hi))
+        total += float(b @ log_ratio) + ends
     return total / (2.0 * np.pi)
 
 
@@ -256,7 +270,7 @@ def self_energy_derivative(sd, eps):
     Diverges at band edges, so evaluation inside DERIVATIVE_FLOOR of an
     edge raises TooCloseToBandEdge.  A table's derivative also diverges,
     logarithmically, at an interior node where its slope jumps; exactly
-    at such a node the value is not finite.
+    at such a node it is the signed infinity of that divergence.
     """
     if is_decoupled(sd):
         return 0.0

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,29 @@ def test_tabulated_derivative_is_exact():
     z = [1.0 / (1.0 - self_energy_derivative(tab, state.energy + d))
          for d in np.linspace(-1e-13, 1e-13, 9)]
     assert max(z) - min(z) <= 1e-13
+
+
+def test_tabulated_derivative_at_a_node_is_signed_infinity():
+    # the regrouped node sum sum_k (b_k - b_{k-1}) log|e - x_k| diverges
+    # like -jump * log|e - x_j| at a node x_j where the slope jumps
+    tb = two_band_table()
+    for eps in (2.2, 1.4, -2.0):
+        x, jv = spectral._interval_nodes(
+            tb, *next(b for b in tb.band if b[0] < eps < b[1]))
+        slopes = np.diff(jv) / np.diff(x)
+        j = int(np.flatnonzero(x == eps)[0])
+        want = -np.sign(slopes[j] - slopes[j - 1]) * np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self_energy_derivative(tb, eps) == want
+    # no slope jump: the node adds nothing and the value is finite and
+    # continuous with its neighbours
+    straight = Tabulated((0.0, 1.0, 2.0, 3.0), (0.0, 1.0, 2.0, 0.0),
+                         ((0.0, 3.0),))
+    at = self_energy_derivative(straight, 1.0)
+    for d in (-1e-9, 1e-9):
+        assert at == pytest.approx(self_energy_derivative(straight, 1.0 + d),
+                                   rel=1e-7)
 
 
 def test_derivative_refuses_band_edge():

@@ -199,3 +199,79 @@ def test_default_pool_sized_from_affinity(tmp_path, monkeypatch, affinity,
     axes = (SweepAxis("period", (1.25, 1.32, 1.4, 1.5)),)
     run_sweep(small_spec(tmp_path / "s.csv", axes=axes))
     assert _RecordingPool.sizes == [want]
+
+
+def _per_point_rows(spec):
+    return [sweep.evaluate_point((spec.sd, spec.eps_s, spec.drive,
+                                  spec.t_max, spec.h, spec.window, pt))
+            for pt in spec.points()]
+
+
+def _csv_rows(path):
+    with open(path) as fh:
+        return [line.rstrip("\n").split(",") for line in fh][1:]
+
+
+def test_failing_point_in_a_batch_matches_per_point_rows(tmp_path):
+    # period 0.1 shares the others' grid, so it lands in their batch, and
+    # its StepTooLarge sends the batch back to one point at a time
+    spec = small_spec(tmp_path / "s.csv",
+                      axes=(SweepAxis("period", (1.25, 0.1, 1.32)),))
+    keys = [sweep._batch_key(spec, i, pt)
+            for i, pt in enumerate(spec.points())]
+    assert sweep._batches(keys, 1) == [slice(0, 3)]
+    run_sweep(spec, workers=1)
+    rows = _csv_rows(spec.out_path)
+    assert rows == _per_point_rows(spec)
+    assert rows[1][-1].startswith("StepTooLarge: h = 0.02 too coarse")
+    assert [r[-1] for r in rows[::2]] == ["ok", "ok"]
+
+
+def test_square_periods_split_by_aligned_step(tmp_path):
+    # T = 1, 2 and 2.6 keep h = 0.02, T = 1.3 refines it; only neighbours
+    # with equal keys share a batch
+    drive = DrivingField(mean=2.5, period=1.0, shape="square", amplitude=0.5)
+    spec = small_spec(tmp_path / "s.csv", drive=drive,
+                      axes=(SweepAxis("period", (1.0, 1.3, 2.0, 2.6)),))
+    keys = [sweep._batch_key(spec, i, pt)
+            for i, pt in enumerate(spec.points())]
+    assert keys[0] == keys[2] == keys[3] != keys[1]
+    assert sweep._batches(keys, 1) == [slice(0, 1), slice(1, 2), slice(2, 4)]
+    run_sweep(spec, workers=1)
+    rows = _csv_rows(spec.out_path)
+    assert rows == _per_point_rows(spec)
+    assert all(r[-1] == "ok" for r in rows)
+
+
+@pytest.mark.parametrize("keys, workers, sizes", [
+    ([0] * 48, 2, [8] * 6),          # the benchmark grid on two cores
+    ([0] * 20, 2, [5] * 4),          # c09: three batches round up to four
+    ([0] * 4, 3, [2, 1, 1]),
+    ([0] * 3, 8, [1, 1, 1]),         # never more batches than points
+    ([0] * 10 + [1] * 2, 1, [5, 5, 2]),
+    ([0] * 10 + [1] * 2, 2, [4, 3, 3, 2]),   # the widest run is cut
+    ([0, 1, 0], 1, [1, 1, 1]),       # equal keys must be neighbours
+])
+def test_batches_are_contiguous_and_balanced(keys, workers, sizes):
+    batches = sweep._batches(keys, workers)
+    assert [b.stop - b.start for b in batches] == sizes
+    assert batches[0].start == 0 and batches[-1].stop == len(keys)
+    assert all(a.stop == b.start for a, b in zip(batches, batches[1:]))
+    assert all(len(set(keys[b])) == 1 for b in batches)
+
+
+def test_progress_line_per_batch(tmp_path, capsys):
+    spec = small_spec(tmp_path / "s.csv",
+                      axes=(SweepAxis("period", (1.25, 1.32, 1.4)),))
+    run_sweep(spec, workers=1)
+    full = (tmp_path / "s.csv").read_text()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("sweep: 3/3 rows, ")
+    # a resumed sweep counts the rows already on disk
+    lines = full.splitlines(keepends=True)
+    (tmp_path / "s.csv").write_text("".join(lines[:-1]))
+    run_sweep(spec, workers=1)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("sweep: 3/3 rows, ")
+    assert err[0].endswith(" s")
+    assert (tmp_path / "s.csv").read_text() == full
