@@ -3,7 +3,7 @@
 from .comb import (CombOverlap, CombReport, comb_report, comb_reports,
                    late_window_peaks, survival_metric)
 from .config import RunConfig, load_config
-from .driving import DrivingField, eval_drive, fourier_coefficients
+from .driving import DrivingField, fourier_coefficients
 from .errors import (ConfigError, DrivenLevelError, GridMismatch,
                      KernelCoverage, QuadratureFailure, StepTooLarge,
                      TooCloseToBandEdge, WindowOutOfRange)

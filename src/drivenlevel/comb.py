@@ -29,6 +29,8 @@ DISSIPATES = "dissipates"
 _COEFF_TOL = 1e-12
 N_MAX = 12
 DEFAULT_PEAK_FLOOR = 1e-2
+PEAK_THRESHOLD_RATIO = 10.0
+PEAK_DOMINANCE = 0.25
 
 
 @dataclass(frozen=True)
@@ -114,27 +116,25 @@ def survival_metric(trace, window):
     return float(np.trapezoid(np.abs(u), t) / (t[-1] - t[0]))
 
 
-def late_window_peaks(trace, window, threshold_ratio=10.0,
-                      weight_floor=DEFAULT_PEAK_FLOOR, dominance=0.25):
+def late_window_peaks(trace, window):
     """Dominant spectral lines of u on the window.
 
     Hann-windowed, zero-padded DFT; a line counts as a peak when it is a
-    local maximum above threshold_ratio times the median magnitude and above
-    weight_floor.  The absolute floor is what separates genuine surviving
-    components (weights of order 0.1) from taper sidelobes (under 1% of a
-    line) and from the slowly decaying continuum tail a fully dissipated
-    trace still carries (|u| of order 1e-3).  Peaks within one main lobe of
-    a stronger one are absorbed by it.  A surviving component under periodic
-    driving also drags weak replicas at multiples of the drive frequency
-    (about beta/2 = A/(2*delta_omega) of the parent line, near 10% once a
-    neighboring resonance enhances one); those are satellites of one
-    component, not extra components, so peaks below dominance times the
-    strongest line are dropped.  Distinct states carry comparable weights
-    (ratios well above 0.5 here), so the default 0.25 separates the two
-    populations; pass dominance=0 to keep every line above the absolute
-    floor.  Returns (frequency, weight) pairs sorted by weight, strongest
-    first; frequencies are signed and a component Z e^{-i eps t} peaks at
-    eps with weight ~ Z.
+    local maximum above PEAK_THRESHOLD_RATIO times the median magnitude and
+    above DEFAULT_PEAK_FLOOR.  The absolute floor is what separates genuine
+    surviving components (weights of order 0.1) from taper sidelobes (under
+    1% of a line) and from the slowly decaying continuum tail a fully
+    dissipated trace still carries (|u| of order 1e-3).  Peaks within one
+    main lobe of a stronger one are absorbed by it.  A surviving component
+    under periodic driving also drags weak replicas at multiples of the
+    drive frequency (about beta/2 = A/(2*delta_omega) of the parent line,
+    near 10% once a neighboring resonance enhances one); those are
+    satellites of one component, not extra components, so peaks below
+    PEAK_DOMINANCE times the strongest line are dropped.  Distinct states
+    carry comparable weights (ratios well above 0.5 here), so 0.25
+    separates the two populations.  Returns (frequency, weight) pairs
+    sorted by weight, strongest first; frequencies are signed and a
+    component Z e^{-i eps t} peaks at eps with weight ~ Z.
     """
     t, u = _window_slice(trace, window)
     m = u.size
@@ -149,7 +149,8 @@ def late_window_peaks(trace, window, threshold_ratio=10.0,
     order = np.argsort(freqs)
     freqs, mag = freqs[order], mag[order]
 
-    floor = max(threshold_ratio * float(np.median(mag)), weight_floor)
+    floor = max(PEAK_THRESHOLD_RATIO * float(np.median(mag)),
+                DEFAULT_PEAK_FLOOR)
     local = (mag[1:-1] > mag[:-2]) & (mag[1:-1] >= mag[2:]) & (mag[1:-1] > floor)
     cand = np.nonzero(local)[0] + 1
     cand = cand[np.argsort(mag[cand])[::-1]]
@@ -160,6 +161,6 @@ def late_window_peaks(trace, window, threshold_ratio=10.0,
         if all(abs(freqs[i] - fp) > lobe for fp, _ in peaks):
             peaks.append((float(freqs[i]), float(mag[i])))
     if peaks:
-        cut = dominance * peaks[0][1]
+        cut = PEAK_DOMINANCE * peaks[0][1]
         peaks = [p for p in peaks if p[1] >= cut]
     return peaks

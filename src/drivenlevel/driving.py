@@ -93,14 +93,6 @@ class DrivingField:
         return float(np.max(np.abs(self.modulation(tt))))
 
 
-def eval_drive(f, t):
-    """Full drive value mean + modulation at time(s) t."""
-    out = np.asarray(f.modulation(t)) + f.mean
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def fourier_coefficients(f, n_max):
     """(A_n, B_n) for n = 1..n_max of the zero-mean modulation.
 
@@ -124,14 +116,4 @@ def fourier_coefficients(f, n_max):
                 out.append(f.coefficients[n - 1])
             else:
                 out.append((0.0, 0.0))
-    return out
-
-
-def reconstruct(f, coeffs, t):
-    """Evaluate a truncated harmonic series with the drive's base frequency."""
-    t = np.asarray(t, dtype=float)
-    w = f.base_frequency
-    out = np.zeros_like(t)
-    for n, (a, b) in enumerate(coeffs, start=1):
-        out = out + a * np.sin(n * w * t) + b * np.cos(n * w * t)
     return out

@@ -12,11 +12,11 @@ e^{-i r y s} needs n a little over r max|s| / 2.  The nodes pair up as
 +-y_k with equal weights, so n is even and the sum runs over the m = n/2
 positive ones: g = e^{-i eps0 s} Re sum_k 2 w_k e^{-i r y_k s}.
 
-The quadrature variant transforms J e^{-i eps s} directly (cell-exact for
-tabulated densities) and caches values on the solver's lag grid; cached
-lags are the only fast path, interpolation between them is deliberately not
-offered.  Every kernel ends in `oscquad.phase_sum`, and the lag grid
-s = k*h is uniform, so lag samples take its blocked path: about 2 sqrt(n)
+A tabulated density has its kernel from the tabulated lag cache: the
+cell-exact transform of the piecewise-linear J, computed once on the
+solver's lag grid 0, h, ..., max_lag and read back only on that grid.
+Every kernel ends in `oscquad.phase_sum`, and the lag grid s = k*h is
+uniform, so lag samples take its blocked path: about 2 sqrt(n)
 exponentials per node for n lags instead of n.  Immutable after
 construction, safe to share across workers.
 """
@@ -24,12 +24,10 @@ construction, safe to share across workers.
 import numpy as np
 
 from .errors import KernelCoverage
-from .oscquad import angle_band_integral, phase_sum
-from .spectral import Semicircle, _interval_nodes, eval_j, is_decoupled
+from .oscquad import phase_sum
+from .spectral import Semicircle, Tabulated, _interval_nodes
 
 _LAG_ATOL = 1e-12
-# relative tolerance of the semicircle angle quadrature
-_QUAD_TOL = 1e-10
 # Gauss-Chebyshev nodes beyond n = a/2 + 4 a^{1/3}, a = 2 v0 max|s| the
 # phase range.  Max error / g(0) against the J1 closed form over
 # (eta, eps0, v0) in {(1,0,1), (0.8,0,1), (2.5,0,1), (1.3,0.7,1.7)} and
@@ -122,7 +120,7 @@ class SemicircleKernel:
 
 
 class QuadratureKernel:
-    """Memory kernel by oscillatory quadrature, cached on a fixed lag grid.
+    """Memory kernel of a tabulated density, cached on a fixed lag grid.
 
     h is the solver step the cache is built for; max_lag bounds the covered
     span.  lag_samples with a different spacing or beyond the cache raises
@@ -130,40 +128,18 @@ class QuadratureKernel:
     """
 
     def __init__(self, sd, h, max_lag):
+        if not isinstance(sd, Tabulated):
+            raise TypeError("QuadratureKernel needs a Tabulated density")
         if h <= 0.0 or max_lag < 0.0:
             raise ValueError("need h > 0 and max_lag >= 0")
-        self.sd = sd
         self.h = float(h)
         n = int(np.ceil(max_lag / h - _LAG_ATOL))
         lags = h * np.arange(n + 1)
-        self.cache = self._integrate(lags)
+        g = np.zeros(lags.shape, dtype=complex)
+        for lo, hi in sd.band:
+            g += _tabulated_transform(sd, lo, hi, lags)
+        self.cache = g / (2.0 * np.pi)
         self.cache.setflags(write=False)
-
-    def _integrate(self, s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.zeros(s.shape, dtype=complex)
-        if is_decoupled(self.sd):
-            return out
-        for lo, hi in self.sd.band:
-            if isinstance(self.sd, Semicircle):
-                f = lambda e: eval_j(self.sd, e)
-                out += angle_band_integral(f, lo, hi, s, tol=_QUAD_TOL)
-            else:
-                out += _tabulated_transform(self.sd, lo, hi, s)
-        return out / (2.0 * np.pi)
-
-    def eval(self, s):
-        """g at arbitrary lag(s); cache hit for grid lags, quadrature otherwise."""
-        scalar = np.isscalar(s) or np.ndim(s) == 0
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        idx = np.rint(s / self.h).astype(int)
-        on_grid = (np.abs(s - idx * self.h) <= _LAG_ATOL) & (idx >= 0) \
-            & (idx < self.cache.size)
-        out = np.empty(s.shape, dtype=complex)
-        out[on_grid] = self.cache[idx[on_grid]]
-        if np.any(~on_grid):
-            out[~on_grid] = self._integrate(s[~on_grid])
-        return complex(out[0]) if scalar else out
 
     def lag_samples(self, h, n):
         """Cached g on 0, h, ..., n*h; the cache must match h and cover n*h."""
@@ -176,12 +152,10 @@ class QuadratureKernel:
         return self.cache[:n + 1]
 
 
-def kernel_for(sd, h, max_lag, analytic=True):
-    """Pick the natural kernel for a density on lags 0..max_lag at step h.
-
-    Semicircle densities default to the closed form (which ignores h and
-    max_lag); pass analytic=False to force the quadrature variant.
-    """
-    if analytic and isinstance(sd, Semicircle):
+def kernel_for(sd, h, max_lag):
+    """The kernel of a density on lags 0..max_lag at step h: the closed
+    form for a semicircle (which ignores h and max_lag), the lag cache for
+    a table."""
+    if isinstance(sd, Semicircle):
         return SemicircleKernel(sd)
     return QuadratureKernel(sd, h, max_lag)

@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
-from drivenlevel.spectral import Tabulated
+from drivenlevel.oscquad import angle_band_integral
+from drivenlevel.spectral import Tabulated, eval_j
 
 
 @pytest.fixture
@@ -26,3 +28,21 @@ def kinked_two_band():
     return Tabulated(tuple(lo + hi),
                      tuple(band(1.45, 0.1, 0.02) + band(1.45, -0.12, -0.015)),
                      ((-3.0, -1.0), (1.0, 3.0)))
+
+
+@pytest.fixture
+def semicircle_quadrature_lags():
+    """Reference for the semicircle kernel on the lag grid 0, h, ..., n*h.
+
+    The angle quadrature of (1/2pi) int J e^{-i eps s} d eps at relative
+    tolerance 1e-10, independent of the J1 closed form that
+    `SemicircleKernel` evaluates.
+    """
+
+    def lags(sd, h, n):
+        (lo, hi), = sd.band
+        s = h * np.arange(n + 1)
+        return angle_band_integral(lambda e: eval_j(sd, e), lo, hi, s,
+                                   tol=1e-10) / (2.0 * np.pi)
+
+    return lags

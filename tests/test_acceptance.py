@@ -33,7 +33,7 @@ def run_case(eta, mean, shape, amplitude, period, t_max, h=0.01):
     f = DrivingField(mean=mean, period=period, shape=shape,
                      amplitude=amplitude)
     grid = aligned_grid(0.0, t_max, h, f)
-    kern = kernel_for(sd, grid.h, grid.h * grid.n_steps, analytic=True)
+    kern = kernel_for(sd, grid.h, grid.h * grid.n_steps)
     return evolve(kern, 0.0, f, grid)
 
 
@@ -106,13 +106,12 @@ def test_c02_two_state_roots():
     report("check 02 two-state roots", parts)
 
 
-def test_c03_kernel_closed_form_vs_quadrature():
+def test_c03_kernel_closed_form_vs_quadrature(semicircle_quadrature_lags):
     sd = Semicircle(eta=1.0)
     anal = SemicircleKernel(sd)
-    quad = kernel_for(sd, 0.01, 100.0, analytic=False)
     s = 0.01 * np.arange(10001)
     a = anal.lag_samples(0.01, 10000)
-    q = quad.lag_samples(0.01, 10000)
+    q = semicircle_quadrature_lags(sd, 0.01, 10000)
     rel = float(np.max(np.abs(a - q)) / np.max(np.abs(a)))
     parts = [
         ("agreement 1e-8 on [0,100]", rel < 1e-8),
@@ -148,7 +147,7 @@ def test_c05_volterra_matches_lattice():
     parts = []
     for label, f in cases:
         grid = aligned_grid(0.0, 50.0, 0.005, f)
-        kern = kernel_for(sd, grid.h, grid.h * grid.n_steps, analytic=True)
+        kern = kernel_for(sd, grid.h, grid.h * grid.n_steps)
         tr = evolve(kern, 0.0, f, grid)
         ref = oracle.propagate(model, f, grid)
         dev = oracle.compare(tr, ref)
@@ -267,7 +266,7 @@ def test_c10_solver_second_order():
         sd = Semicircle(eta=eta)
 
         def make_kernel(step, max_lag):
-            return kernel_for(sd, step, max_lag, analytic=True)
+            return kernel_for(sd, step, max_lag)
 
         ests = []
         for h in (0.02, 0.01):

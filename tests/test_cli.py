@@ -89,12 +89,17 @@ def test_u0_command(tmp_path, capsys, monkeypatch):
     assert payload["final_magnitude"] > 0.7
 
 
-def test_commands_run_without_scipy(tmp_path):
-    # a None entry in sys.modules makes every scipy import fail
+def src_env():
+    """This process's environment with the package's source on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(drivenlevel.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # a None entry in sys.modules makes every scipy import fail
     cfg = write_config(tmp_path, oracle={"n_modes": 400},
                        output={"trace": "run.csv", "overlay_u0": True})
     code = ("import sys; sys.modules['scipy'] = None; "
@@ -103,10 +108,36 @@ def test_commands_run_without_scipy(tmp_path):
             "    rc = main([cmd, '--config', sys.argv[1]])\n"
             "    if rc:\n"
             "        sys.exit(f'{cmd} exited {rc}')")
-    out = subprocess.run([sys.executable, "-c", code, cfg], env=env,
+    out = subprocess.run([sys.executable, "-c", code, cfg], env=src_env(),
                          cwd=tmp_path, capture_output=True, text=True,
                          timeout=120)
     assert out.returncode == 0, out.stderr
+
+
+TRIANGLE = {"kind": "tabulated", "grid": [-2.0, 0.0, 2.0],
+            "values": [0.0, 1.0, 0.0], "band": [[-2.0, 2.0]]}
+
+
+@pytest.mark.parametrize("density, lag_span", [
+    (None, "kernel.SemicircleKernel.lag_samples"),
+    (TRIANGLE, "kernel.QuadratureKernel.lag_samples")])
+def test_benchmark_tracer_binds_kernel_names(tmp_path, density, lag_span):
+    # perfbench/tracer.py wraps these names by string; a rename or removal
+    # in the package must fail here, not first in a traced benchmark run
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    changes = {"grid": {"t_max": 2.0, "h": 0.01}}
+    if density is not None:
+        changes["spectral_density"] = density
+    cfg = write_config(tmp_path, **changes)
+    spans = tmp_path / "spans.json"
+    out = subprocess.run(
+        [sys.executable, os.path.join(root, "perfbench", "tracer.py"),
+         "--out", str(spans), "--", "evolve", "--config", cfg],
+        env=src_env(), cwd=tmp_path, capture_output=True, text=True,
+        timeout=120)
+    assert out.returncode == 0, out.stderr
+    names = {span[0] for span in json.loads(spans.read_text())["spans"]}
+    assert {"kernel.kernel_for", lag_span} <= names
 
 
 def test_comb_command(tmp_path, capsys):

@@ -144,10 +144,6 @@ def test_peaks_drop_weak_satellites():
     u2 = u + 0.16 * np.exp(+1j * 0.7 * t)          # 40%: a real partner
     peaks = late_window_peaks(PropagatorTrace(grid, u2), (150.0, 200.0))
     assert len(peaks) == 2
-    # dominance=0 restores every line above the absolute floor
-    peaks = late_window_peaks(PropagatorTrace(grid, u), (150.0, 200.0),
-                              dominance=0.0)
-    assert len(peaks) == 2
 
 
 def test_peaks_silent_trace():

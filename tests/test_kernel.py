@@ -64,11 +64,11 @@ def test_chebyshev_sum_matches_bessel_closed_form(eta, eps0, v0):
         assert np.max(np.abs(kern.eval(s) - bessel_kernel(sd, s))) <= tol
 
 
-def test_analytic_vs_quadrature_cache():
+def test_analytic_vs_quadrature_cache(semicircle_quadrature_lags):
     sd = Semicircle(eta=1.0)
     h, n = 0.05, 400
     a = SemicircleKernel(sd).lag_samples(h, n)
-    b = QuadratureKernel(sd, h, h * n).lag_samples(h, n)
+    b = semicircle_quadrature_lags(sd, h, n)
     scale = np.max(np.abs(a))
     assert np.max(np.abs(a - b)) / scale < 1e-8
 
@@ -98,13 +98,6 @@ def test_first_zero_location():
     assert abs(kern.eval(s0 + 0.2)) > 1e-3
 
 
-def test_quadrature_kernel_off_grid_eval():
-    sd = Semicircle(eta=0.8)
-    kern = QuadratureKernel(sd, 0.1, 2.0)
-    want = brute_force_kernel(sd, 0.137)
-    assert kern.eval(0.137) == pytest.approx(want, abs=1e-8)
-
-
 def test_quadrature_kernel_tabulated_density():
     sc = Semicircle(eta=1.0)
     (lo, hi), = sc.band
@@ -116,6 +109,10 @@ def test_quadrature_kernel_tabulated_density():
     lags = np.arange(0, 16) * 0.2
     # limited by the table resolution, not the transform
     assert np.max(np.abs(kq.lag_samples(0.2, 15) - ks.eval(lags))) < 2e-4
+    # an all-zero table (a decoupled level) gives exact zeros on both the
+    # short-lag series and the long-lag phase sums
+    zero = Tabulated(tab.grid, (0.0,) * len(tab.grid), tab.band)
+    assert not np.any(QuadratureKernel(zero, 0.2, 3.0).lag_samples(0.2, 15))
 
 
 def mp_tabulated_kernel(sd, s, dps=40):
@@ -135,17 +132,17 @@ def mp_tabulated_kernel(sd, s, dps=40):
 
 
 def test_tabulated_kernel_small_lags(kinked_two_band):
-    # the (1/s^2) slope-jump sum cancels at small lags; off-grid lags are
-    # transformed on the spot, so they show any loss directly
-    kern = QuadratureKernel(kinked_two_band, 0.1, 1.0)
+    # the (1/s^2) slope-jump sum cancels at small lags; a cache of step s
+    # holds lag s as its second entry, so each lag shows any loss directly
     g0 = abs(mp_tabulated_kernel(kinked_two_band, 0.0))
     for s in (1e-7, 1e-5, 1e-3, 0.01, 0.5, 2.0):
         want = mp_tabulated_kernel(kinked_two_band, s)
-        assert abs(kern.eval(s) - want) <= 1e-12 * g0
+        got = QuadratureKernel(kinked_two_band, s, s).lag_samples(s, 1)[1]
+        assert abs(got - want) <= 1e-12 * g0
 
 
-def test_lag_coverage_errors():
-    kern = QuadratureKernel(Semicircle(eta=1.0), 0.1, 1.0)
+def test_lag_coverage_errors(kinked_two_band):
+    kern = QuadratureKernel(kinked_two_band, 0.1, 1.0)
     with pytest.raises(KernelCoverage):
         kern.lag_samples(0.1, 200)      # past the cache
     with pytest.raises(KernelCoverage):
@@ -155,7 +152,7 @@ def test_lag_coverage_errors():
 def test_kernel_for_dispatch():
     sd = Semicircle(eta=1.0)
     assert isinstance(kernel_for(sd, 0.1, 1.0), SemicircleKernel)
-    assert isinstance(kernel_for(sd, 0.1, 1.0, analytic=False),
-                      QuadratureKernel)
+    with pytest.raises(TypeError):
+        QuadratureKernel(sd, 0.1, 1.0)
     tab = Tabulated((-1.0, 0.0, 1.0), (0.0, 1.0, 0.0), ((-1.0, 1.0),))
     assert isinstance(kernel_for(tab, 0.1, 1.0), QuadratureKernel)

@@ -156,7 +156,7 @@ def test_single_point_matches_direct_evolution(tmp_path):
     grid = aligned_grid(0.0, 20.0, 0.02, DRIVE)
 
     def make_kernel(step, max_lag):
-        return kernel_for(SD, step, max_lag, analytic=True)
+        return kernel_for(SD, step, max_lag)
 
     fine, est = convergence_check(make_kernel, 0.0, DRIVE, grid)
     metric = survival_metric(fine, (10.0, 20.0))
