@@ -11,7 +11,7 @@ from .kernel import QuadratureKernel, SemicircleKernel, kernel_for
 from .spectral import (BoundState, SelfEnergyValue, Semicircle, SystemSpectrum,
                        Tabulated, compute_u0, eval_j, find_bound_states,
                        self_energy, self_energy_derivative, spectrum)
-from .sweep import SweepAxis, SweepSpec, run_sweep
+from .sweep import SweepAxis, run_sweep
 from .traceio import read_trace, write_trace
 from .volterra import (PropagatorTrace, TimeGrid, aligned_grid,
                        convergence_check, evolve)

@@ -3,16 +3,15 @@
 Subcommands: bound-states, u0, evolve, comb, oracle-compare, sweep.
 Each takes --config FILE plus any number of --set KEY.PATH=VALUE overrides;
 results go to stdout as JSON and, for traces, to CSV/SVG files named in the
-config's output block.  Exit codes: 0 success, 2 configuration problem,
-3 numerical failure.  Output files are written to NAME.partial first and
-renamed only on success, so an interrupted run never leaves a file that
-looks finished.
+config's output block.  Exit codes: 0 success, 2 configuration problem
+(an output file that cannot be written included), 3 numerical failure.
+Output files are written to NAME.partial first and renamed only on
+success, so an interrupted run never leaves a file that looks finished.
 """
 
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 import numpy as np
@@ -24,20 +23,13 @@ from .errors import ConfigError, DrivenLevelError
 from .kernel import kernel_for
 from .spectral import compute_u0, find_bound_states
 from .svgplot import line_plot
-from .sweep import SweepAxis, SweepSpec, run_sweep
-from .traceio import write_trace
+from .sweep import run_sweep
+from .traceio import write_atomic, write_json, write_trace
 from .volterra import PropagatorTrace, aligned_grid, evolve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-
-def _emit(path, write_fn):
-    """Write via a .partial file and rename into place on success."""
-    tmp = path + ".partial"
-    write_fn(tmp)
-    os.replace(tmp, path)
 
 
 def _print_json(obj):
@@ -47,23 +39,33 @@ def _print_json(obj):
 def _svg_from_traces(path, labeled_traces, title):
     curves = [(tr.times(), tr.magnitude(), label)
               for tr, label in labeled_traces]
-    _emit(path, lambda p: line_plot(p, curves, title=title, ylabel="|u|"))
+    write_atomic(path,
+                 lambda p: line_plot(p, curves, title=title, ylabel="|u|"))
+
+
+def _print_and_report(cfg, payload):
+    """Print payload and, if output.report names a file, write it there."""
+    _print_json(payload)
+    report = cfg.output.get("report")
+    if report:
+        write_json(report, payload, indent=2)
+    return EXIT_OK
+
+
+def _solve(cfg):
+    """(grid, trace) of the configured drive, evolved on its aligned grid."""
+    cfg.require_grid()
+    cfg.require_drive()
+    grid = aligned_grid(0.0, cfg.t_max, cfg.h, cfg.drive)
+    trace = evolve(kernel_for(cfg.sd, grid.h, grid.h * grid.n_steps),
+                   cfg.eps_s, cfg.drive, grid)
+    return grid, trace
 
 
 def cmd_bound_states(cfg, args):
     states = find_bound_states(cfg.sd, cfg.eps_on)
-    payload = [{"energy": s.energy, "residue": s.residue} for s in states]
-    _print_json(payload)
-    report = cfg.output.get("report")
-    if report:
-        _emit(report, lambda p: _dump_json_file(p, payload))
-    return EXIT_OK
-
-
-def _dump_json_file(path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+    return _print_and_report(
+        cfg, [{"energy": s.energy, "residue": s.residue} for s in states])
 
 
 def cmd_u0(cfg, args):
@@ -72,7 +74,7 @@ def cmd_u0(cfg, args):
     values = compute_u0(cfg.sd, cfg.eps_on, grid.times())
     trace = PropagatorTrace(grid, values)
     out = cfg.output.get("trace") or "u0.csv"
-    _emit(out, lambda p: write_trace(p, trace, config=cfg.to_dict()))
+    write_atomic(out, lambda p: write_trace(p, trace, config=cfg.to_dict()))
     svg = cfg.output.get("svg")
     if svg:
         _svg_from_traces(svg, [(trace, "driving-free")], "|u0(t)|")
@@ -82,12 +84,7 @@ def cmd_u0(cfg, args):
 
 
 def cmd_evolve(cfg, args):
-    cfg.require_grid()
-    cfg.require_drive()
-    grid = aligned_grid(0.0, cfg.t_max, cfg.h, cfg.drive)
-    trace = evolve(kernel_for(cfg.sd, grid.h, grid.h * grid.n_steps),
-                   cfg.eps_s, cfg.drive, grid)
-
+    grid, trace = _solve(cfg)
     extra = None
     labeled = [(trace, "driven")]
     if cfg.output.get("overlay_u0"):
@@ -96,8 +93,8 @@ def cmd_evolve(cfg, args):
         labeled.append((PropagatorTrace(grid, u0), "driving-free"))
 
     out = cfg.output.get("trace") or "trace.csv"
-    _emit(out, lambda p: write_trace(p, trace, config=cfg.to_dict(),
-                                     extra_columns=extra))
+    write_atomic(out, lambda p: write_trace(p, trace, config=cfg.to_dict(),
+                                            extra_columns=extra))
     svg = cfg.output.get("svg")
     if svg:
         _svg_from_traces(svg, labeled, "|u(t)|")
@@ -110,20 +107,12 @@ def cmd_comb(cfg, args):
     cfg.require_drive()
     states = find_bound_states(cfg.sd, cfg.eps_on)
     reports = comb_reports(states, cfg.drive, cfg.sd.band)
-    payload = {"states": [dataclasses.asdict(r) for r in reports]}
-    _print_json(payload)
-    report = cfg.output.get("report")
-    if report:
-        _emit(report, lambda p: _dump_json_file(p, payload))
-    return EXIT_OK
+    return _print_and_report(
+        cfg, {"states": [dataclasses.asdict(r) for r in reports]})
 
 
 def cmd_oracle_compare(cfg, args):
-    cfg.require_grid()
-    cfg.require_drive()
-    grid = aligned_grid(0.0, cfg.t_max, cfg.h, cfg.drive)
-    trace = evolve(kernel_for(cfg.sd, grid.h, grid.h * grid.n_steps),
-                   cfg.eps_s, cfg.drive, grid)
+    grid, trace = _solve(cfg)
     model = oracle.discretize(cfg.sd, cfg.n_modes, cfg.eps_s)
     ref = oracle.propagate(model, cfg.drive, grid)
     deviation = oracle.compare(trace, ref)
@@ -135,28 +124,7 @@ def cmd_oracle_compare(cfg, args):
 
 
 def cmd_sweep(cfg, args):
-    cfg.require_grid()
-    cfg.require_drive()
-    block = cfg.sweep
-    if not block:
-        raise ConfigError("this command needs a sweep block")
-    if cfg.window is None:
-        raise ConfigError("sweep needs a window [t1, t2]")
-    try:
-        axes = tuple(SweepAxis(a["name"], tuple(a["values"]))
-                     for a in block["axes"])
-        out = block["out"]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"bad sweep block: {exc}") from None
-    workers = block.get("workers")
-    if workers is not None and (type(workers) is not int or workers < 1):
-        raise ConfigError("sweep.workers must be a positive integer or null")
-    spec = SweepSpec(sd=cfg.sd, eps_s=cfg.eps_s, drive=cfg.drive,
-                     t_max=cfg.t_max, h=cfg.h, window=cfg.window,
-                     axes=axes, out_path=out)
-    computed = run_sweep(spec, workers=workers)
-    _print_json({"out": out, "rows_computed": computed,
-                 "rows_total": spec.n_points()})
+    _print_json(run_sweep(cfg))
     return EXIT_OK
 
 

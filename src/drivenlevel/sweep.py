@@ -15,11 +15,13 @@ stderr per batch.  A batch in which anything fails is rerun point by point,
 so each row is exactly what its point gives on its own.
 """
 
+import csv
 import dataclasses
 import functools
 import hashlib
 import itertools
 import json
+import numbers
 import os
 import sys
 import time
@@ -28,10 +30,10 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .comb import SURVIVES, comb_reports, survival_metric
-from .config import drive_to_dict, sd_to_dict
 from .errors import ConfigError, DrivenLevelError
 from .kernel import kernel_for
 from .spectral import Semicircle, find_bound_states
+from .traceio import write_json
 from .volterra import aligned_grid, convergence_check
 
 AXIS_NAMES = ("amplitude", "period", "mean", "eta")
@@ -56,6 +58,11 @@ class SweepAxis:
         if self.name not in AXIS_NAMES:
             raise ConfigError(
                 f"axis {self.name!r} not one of {', '.join(AXIS_NAMES)}")
+        if not isinstance(self.values, (list, tuple)) or not all(
+                isinstance(v, numbers.Real) and not isinstance(v, bool)
+                for v in self.values):
+            raise ConfigError(f"axis {self.name!r} values must be a list "
+                              f"of numbers")
         vals = tuple(float(v) for v in self.values)
         if not vals:
             raise ConfigError(f"axis {self.name!r} has no points")
@@ -66,69 +73,61 @@ class SweepAxis:
         object.__setattr__(self, "values", vals)
 
 
-@dataclasses.dataclass(frozen=True)
-class SweepSpec:
-    sd: object
-    eps_s: float
-    drive: object
-    t_max: float
-    h: float
-    window: tuple
-    axes: tuple
-    out_path: str
-
-    def __post_init__(self):
-        axes = tuple(self.axes)
-        if not 1 <= len(axes) <= 2:
-            raise ConfigError(f"need 1 or 2 axes, got {len(axes)}")
-        names = [a.name for a in axes]
-        if len(set(names)) != len(names):
-            raise ConfigError(f"duplicate axis {names}")
-        if "eta" in names and not isinstance(self.sd, Semicircle):
-            raise ConfigError("eta axis needs a semicircle density")
-        object.__setattr__(self, "axes", axes)
-        if self.t_max <= 0.0 or self.h <= 0.0:
-            raise ConfigError("t_max and h must be positive")
-        w = (float(self.window[0]), float(self.window[1]))
-        if not 0.0 <= w[0] < w[1] <= self.t_max:
-            raise ConfigError(f"window {w} must sit inside [0, {self.t_max}]")
-        object.__setattr__(self, "window", w)
-
-    def points(self):
-        """Axis-value dicts in row order (first axis outermost)."""
-        names = [a.name for a in self.axes]
-        for combo in itertools.product(*(a.values for a in self.axes)):
-            yield dict(zip(names, combo))
-
-    def n_points(self):
-        n = 1
-        for a in self.axes:
-            n *= len(a.values)
-        return n
-
-    def columns(self):
-        return tuple(a.name for a in self.axes) + _BASE_COLUMNS
-
-    def to_dict(self):
-        return {
-            "spectral_density": sd_to_dict(self.sd),
-            "system": {"eps_s": self.eps_s},
-            "drive": drive_to_dict(self.drive),
-            "grid": {"t_max": self.t_max, "h": self.h},
-            "window": list(self.window),
-            "axes": [{"name": a.name, "values": list(a.values)}
-                     for a in self.axes],
-        }
+def _parse_sweep(cfg):
+    """(axes, out, workers) from cfg.sweep, checked against the rest of
+    cfg: the one place the sweep block is read."""
+    cfg.require_grid()
+    cfg.require_drive()
+    block = cfg.sweep
+    if not block:
+        raise ConfigError("this command needs a sweep block")
+    try:
+        axes = tuple(SweepAxis(a["name"], a["values"]) for a in block["axes"])
+        out = block["out"]
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"bad sweep block: {exc}") from None
+    if not 1 <= len(axes) <= 2:
+        raise ConfigError(f"need 1 or 2 axes, got {len(axes)}")
+    names = [a.name for a in axes]
+    if len(set(names)) != len(names):
+        raise ConfigError(f"duplicate axis {names}")
+    if "eta" in names and not isinstance(cfg.sd, Semicircle):
+        raise ConfigError("eta axis needs a semicircle density")
+    if not isinstance(out, str) or not out:
+        raise ConfigError("sweep.out must be a file name")
+    workers = block.get("workers")
+    if workers is not None and (type(workers) is not int or workers < 1):
+        raise ConfigError("sweep.workers must be a positive integer or null")
+    if cfg.window is None:
+        raise ConfigError("sweep needs a window [t1, t2]")
+    if not 0.0 <= cfg.window[0] < cfg.window[1] <= cfg.t_max:
+        raise ConfigError(
+            f"window {cfg.window} must sit inside [0, {cfg.t_max}]")
+    return axes, out, workers
 
 
-def spec_hash(spec):
-    blob = json.dumps(spec.to_dict(), sort_keys=True).encode()
+def _points(axes):
+    """Axis-value dicts in row order (first axis outermost)."""
+    names = [a.name for a in axes]
+    return [dict(zip(names, combo))
+            for combo in itertools.product(*(a.values for a in axes))]
+
+
+def spec_hash(cfg, axes):
+    """sha256 of the run description a sweep's rows depend on: the
+    density, level, drive, grid and window of cfg, and the axes."""
+    run = cfg.to_dict()
+    spec = {key: run[key] for key in
+            ("spectral_density", "system", "drive", "grid", "window")}
+    spec["axes"] = [{"name": a.name, "values": list(a.values)} for a in axes]
+    blob = json.dumps(spec, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
-def _apply_point(sd, drive, point):
-    """sd and drive at one point; SweepSpec has checked that an eta axis
-    comes with a semicircle density."""
+def _apply_point(cfg, point):
+    """cfg's sd and drive at one point; _parse_sweep has checked that an
+    eta axis comes with a semicircle density."""
+    sd, drive = cfg.sd, cfg.drive
     for name, value in point.items():
         if name == "eta":
             sd = dataclasses.replace(sd, eta=value)
@@ -145,38 +144,39 @@ def evaluate_batch(payload):
     """Rows for a batch of points that share the density and the aligned
     grid: one `convergence_check` over all their drives.
 
-    payload is (sd, eps_s, drive, t_max, h, window, points).  If anything
-    in the batch raises DrivenLevelError, its points are evaluated one by
-    one, so a failing point gets the same error row as on its own and the
+    payload is (cfg, points), cfg the sweep's RunConfig.  If anything in
+    the batch raises DrivenLevelError, its points are evaluated one by one,
+    so a failing point gets the same error row as on its own and the
     others their usual rows.  Module-level so worker processes can load it.
     """
-    sd, eps_s, drive, t_max, h, window, points = payload
+    cfg, points = payload
     try:
         heads, drives = [], []
         for point in points:
-            sd_pt, drive_pt = _apply_point(sd, drive, point)
+            sd_pt, drive_pt = _apply_point(cfg, point)
             heads.append([_fmt(v) for v in point.values()]
-                         + _prediction(sd_pt, eps_s, drive_pt))
+                         + _prediction(sd_pt, cfg.eps_s, drive_pt))
             drives.append(drive_pt)
-        grid = aligned_grid(0.0, t_max, h, drives[0])
+        grid = aligned_grid(0.0, cfg.t_max, cfg.h, drives[0])
         # the batch shares one eta, so the last point's density is theirs
         fine, est = convergence_check(functools.partial(kernel_for, sd_pt),
-                                      eps_s, drives, grid)
-        return [head + [_fmt(survival_metric(tr, window)), format(e, ".3e"),
-                        "ok"] for head, tr, e in zip(heads, fine, est)]
+                                      cfg.eps_s, drives, grid)
+        return [head + [_fmt(survival_metric(tr, cfg.window)),
+                        format(e, ".3e"), "ok"]
+                for head, tr, e in zip(heads, fine, est)]
     except DrivenLevelError as exc:
         if len(points) > 1:
-            return [evaluate_point(payload[:-1] + (pt,)) for pt in points]
+            return [evaluate_point((cfg, pt)) for pt in points]
         cells = [_fmt(v) for v in points[0].values()]
         return [cells + ["", "", "", "", f"{type(exc).__name__}: {exc}"]]
 
 
 def evaluate_point(payload):
     """One sweep row: (axis values..., prediction, min_order, metric,
-    error_estimate, status), the batch of one.  payload is (sd, eps_s,
-    drive, t_max, h, window, point).
+    error_estimate, status), the batch of one.  payload is (cfg, point).
     """
-    return evaluate_batch(payload[:-1] + ([payload[-1]],))[0]
+    cfg, point = payload
+    return evaluate_batch((cfg, [point]))[0]
 
 
 def _prediction(sd, eps_s, drive):
@@ -194,7 +194,7 @@ def _prediction(sd, eps_s, drive):
     return [prediction, str(min(orders)) if orders else ""]
 
 
-def _batch_key(spec, index, point):
+def _batch_key(cfg, index, point):
     """Points with equal keys may share a solve: (eta, aligned h, n_steps).
 
     The density changes only along an eta axis, so eta stands for it.  A
@@ -202,8 +202,8 @@ def _batch_key(spec, index, point):
     fails alone.
     """
     try:
-        _, drive_pt = _apply_point(spec.sd, spec.drive, point)
-        grid = aligned_grid(0.0, spec.t_max, spec.h, drive_pt)
+        _, drive_pt = _apply_point(cfg, point)
+        grid = aligned_grid(0.0, cfg.t_max, cfg.h, drive_pt)
     except DrivenLevelError:
         return ("alone", index)
     return (point.get("eta"), grid.h, grid.n_steps)
@@ -232,33 +232,18 @@ def _batches(keys, workers):
     return batches
 
 
-def _csv_line(cells):
-    quoted = []
-    for c in cells:
-        if any(ch in c for ch in ",\"\n"):
-            c = '"' + c.replace('"', '""') + '"'
-        quoted.append(c)
-    return ",".join(quoted) + "\n"
-
-
-def _check_sidecar(spec, sidecar_path):
-    want = spec_hash(spec)
-    if os.path.exists(sidecar_path):
-        with open(sidecar_path) as fh:
-            meta = json.load(fh)
-        if meta.get("spec_hash") != want:
-            raise ConfigError(
-                f"{sidecar_path} was written for a different sweep; "
-                f"remove the old results to rerun")
-    else:
-        meta = {"format": SIDECAR_FORMAT, "spec_hash": want,
-                "columns": list(spec.columns()),
-                "n_points": spec.n_points()}
-        tmp = sidecar_path + ".partial"
-        with open(tmp, "w") as fh:
-            json.dump(meta, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-        os.replace(tmp, sidecar_path)
+def _check_sidecar(path, meta):
+    """Write the sidecar meta to path, or check that the one there was
+    written for the same sweep."""
+    if not os.path.exists(path):
+        write_json(path, meta, sort_keys=True, indent=1)
+        return
+    with open(path) as fh:
+        old = json.load(fh)
+    if old.get("spec_hash") != meta["spec_hash"]:
+        raise ConfigError(
+            f"{path} was written for a different sweep; "
+            f"remove the old results to rerun")
 
 
 def _row_ends(data):
@@ -276,7 +261,7 @@ def _row_ends(data):
     return ends
 
 
-def _completed_rows(path, spec):
+def _completed_rows(path, header):
     """(rows, bytes) of the complete rows on disk, validating the header.
 
     Only newline-terminated records count: a killed writer can leave a torn
@@ -287,8 +272,8 @@ def _completed_rows(path, spec):
         return None
     with open(path, "rb") as fh:
         data = fh.read()
-    header = (",".join(spec.columns()) + "\n").encode()
     ends = _row_ends(data)
+    header = header.encode()
     if not ends and header.startswith(data):
         return None
     if not ends or data[:ends[0]] != header:
@@ -306,40 +291,46 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def run_sweep(spec, workers=None):
-    """Run (or resume) the sweep; returns the number of rows computed now.
+def run_sweep(cfg):
+    """Run (or resume) the sweep that cfg.sweep describes; returns
+    {"out", "rows_computed", "rows_total"}, rows_computed counting the rows
+    computed now.
 
-    workers=None sizes the pool from the CPUs this process may run on;
-    workers=1 stays in process.
+    sweep.workers null sizes the pool from the CPUs this process may run
+    on; 1 stays in process.
     """
-    _check_sidecar(spec, spec.out_path + ".json")
-    complete = _completed_rows(spec.out_path, spec)
-    points = list(spec.points())
-    if complete is None:
-        with open(spec.out_path, "w") as fh:
-            fh.write(",".join(spec.columns()) + "\n")
-        done = 0
-    else:
+    axes, out, workers = _parse_sweep(cfg)
+    points = _points(axes)
+    columns = [a.name for a in axes] + list(_BASE_COLUMNS)
+    header = ",".join(columns) + "\n"
+    _check_sidecar(out + ".json",
+                   {"format": SIDECAR_FORMAT, "spec_hash": spec_hash(cfg, axes),
+                    "columns": columns, "n_points": len(points)})
+    complete = _completed_rows(out, header)
+    done = 0
+    if complete is not None:
         done, size = complete
-        if os.path.getsize(spec.out_path) > size:
-            with open(spec.out_path, "r+b") as fh:
+        if os.path.getsize(out) > size:
+            with open(out, "r+b") as fh:
                 fh.truncate(size)
     if done > len(points):
         raise ConfigError(
-            f"{spec.out_path} holds {done} rows but the sweep has only "
+            f"{out} holds {done} rows but the sweep has only "
             f"{len(points)} points")
     todo = points[done:]
+    summary = {"out": out, "rows_computed": len(todo),
+               "rows_total": len(points)}
     if not todo:
-        return 0
+        return summary
 
     if workers is None:
         workers = min(_usable_cpus(), len(todo), 8)
-    keys = [_batch_key(spec, i, pt) for i, pt in enumerate(todo)]
-    payloads = [(spec.sd, spec.eps_s, spec.drive, spec.t_max, spec.h,
-                 spec.window, todo[batch])
-                for batch in _batches(keys, workers)]
+    keys = [_batch_key(cfg, i, pt) for i, pt in enumerate(todo)]
+    payloads = [(cfg, todo[batch]) for batch in _batches(keys, workers)]
     started = time.perf_counter()
-    with open(spec.out_path, "a") as fh:
+    with open(out, "w" if complete is None else "a", newline="") as fh:
+        if complete is None:
+            fh.write(header)
         if workers <= 1:
             _write_rows(fh, map(evaluate_batch, payloads), done,
                         len(points), started)
@@ -347,15 +338,15 @@ def run_sweep(spec, workers=None):
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 _write_rows(fh, pool.map(evaluate_batch, payloads),
                             done, len(points), started)
-    return len(todo)
+    return summary
 
 
 def _write_rows(fh, results, done, total, started):
     """Append each batch's rows as it comes in, in spec order, with one
     stderr progress line per batch."""
+    writer = csv.writer(fh, lineterminator="\n")
     for rows in results:
-        for row in rows:
-            fh.write(_csv_line(row))
+        writer.writerows(rows)
         fh.flush()
         done += len(rows)
         print(f"sweep: {done}/{total} rows, "
@@ -365,7 +356,5 @@ def _write_rows(fh, results, done, total, started):
 
 def read_rows(path):
     """Sweep CSV back as a list of dicts (strings kept verbatim)."""
-    import csv
-
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))

@@ -1,4 +1,4 @@
-"""CSV persistence for propagator traces.
+"""CSV persistence for propagator traces, and the atomic file writer.
 
 Layout: one '#'-prefixed JSON metadata line, then a header row and one row
 per node with t, re_u, im_u, abs_u (extra columns pass through untouched).
@@ -8,6 +8,7 @@ file is self-describing.
 
 import csv
 import json
+import os
 
 import numpy as np
 
@@ -18,6 +19,29 @@ FORMAT_NAME = "drivenlevel-trace"
 FORMAT_VERSION = 1
 # rows formatted per write; bounds the text held in memory at once
 _CHUNK_ROWS = 8192
+
+
+def write_atomic(path, write_fn):
+    """write_fn(PATH.partial), then rename it to path, so an interrupted
+    write never leaves a file that looks finished.  A path that cannot be
+    written is a ConfigError."""
+    tmp = path + ".partial"
+    try:
+        write_fn(tmp)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def write_json(path, obj, **dump_kw):
+    """obj as one JSON document and a newline at path, via write_atomic;
+    dump_kw go to json.dump."""
+    def dump(tmp):
+        with open(tmp, "w") as fh:
+            json.dump(obj, fh, **dump_kw)
+            fh.write("\n")
+    write_atomic(path, dump)
 
 
 def write_trace(path, trace, config, extra_columns=None):

@@ -14,10 +14,11 @@ import pytest
 from drivenlevel import oracle
 from drivenlevel.comb import (STRONG_DRIVING_UNRELIABLE, comb_report,
                               late_window_peaks, survival_metric)
+from drivenlevel.config import RunConfig
 from drivenlevel.driving import DrivingField
 from drivenlevel.kernel import SemicircleKernel, kernel_for
 from drivenlevel.spectral import Semicircle, find_bound_states, spectrum
-from drivenlevel.sweep import SweepAxis, SweepSpec, read_rows, run_sweep
+from drivenlevel.sweep import read_rows, run_sweep
 from drivenlevel.volterra import aligned_grid, convergence_check, evolve
 
 
@@ -229,15 +230,16 @@ def test_c09_no_generation_without_static_state(tmp_path):
     rng = np.random.default_rng(20260819)
     amps = tuple(np.round(rng.uniform(0.2, 5.0, 4), 6))
     periods = tuple(np.round(rng.uniform(0.5, 10.0, 5), 6))
-    spec = SweepSpec(
+    cfg = RunConfig(
         sd=Semicircle(eta=0.8), eps_s=0.0,
         drive=DrivingField(mean=1.0, period=1.0, shape="sine",
                            amplitude=0.5),
         t_max=200.0, h=0.01, window=(150.0, 200.0),
-        axes=(SweepAxis("amplitude", amps), SweepAxis("period", periods)),
-        out_path=str(tmp_path / "nogen.csv"))
-    run_sweep(spec)
-    rows = read_rows(spec.out_path)
+        sweep={"axes": [{"name": "amplitude", "values": amps},
+                        {"name": "period", "values": periods}],
+               "out": str(tmp_path / "nogen.csv")})
+    run_sweep(cfg)
+    rows = read_rows(cfg.sweep["out"])
 
     parts = [
         ("no static state", states == []),

@@ -195,10 +195,10 @@ def test_missing_config_is_config_error(tmp_path, capsys):
     assert "config error" in err
 
 
-def _sweep_block(workers):
+def _sweep_block(workers=1, values=(1.25,), out="sweep.csv"):
     return {"grid": {"t_max": 1.0, "h": 0.02}, "window": [0.5, 1.0],
-            "sweep": {"axes": [{"name": "period", "values": [1.25]}],
-                      "out": "sweep.csv", "workers": workers}}
+            "sweep": {"axes": [{"name": "period", "values": values}],
+                      "out": out, "workers": workers}}
 
 
 @pytest.mark.parametrize("command, block", [
@@ -212,9 +212,14 @@ def _sweep_block(workers):
     ("sweep", _sweep_block("two")),
     ("sweep", _sweep_block(0)),
     ("sweep", _sweep_block(1.5)),
+    ("sweep", _sweep_block(values="ab")),
+    ("sweep", _sweep_block(values=[1, "x"])),
+    ("sweep", _sweep_block(values="12")),
+    ("sweep", _sweep_block(out=5)),
 ], ids=["window-number", "window-text", "oracle-number", "trace-number",
         "svg-bool", "report-list", "overlay-text", "workers-text",
-        "workers-zero", "workers-float"])
+        "workers-zero", "workers-float", "values-text", "values-mixed",
+        "values-digits", "out-number"])
 def test_malformed_block_is_config_error(tmp_path, capsys, monkeypatch,
                                          command, block):
     monkeypatch.chdir(tmp_path)
@@ -224,6 +229,22 @@ def test_malformed_block_is_config_error(tmp_path, capsys, monkeypatch,
     assert code == EXIT_CONFIG
     assert "config error" in err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command, block, path", [
+    ("evolve", {"output": {"trace": "nodir/t.csv"}}, "nodir/t.csv"),
+    ("bound-states", {"output": {"report": "nodir/r.json"}}, "nodir/r.json"),
+    ("sweep", _sweep_block(out="nodir/s.csv"), "nodir/s.csv.json"),
+], ids=["trace", "report", "sweep"])
+def test_unwritable_output_is_config_error(tmp_path, capsys, monkeypatch,
+                                           command, block, path):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, **block)
+    code = main([command, "--config", cfg])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err == (f"config error: cannot write {path}: "
+                   f"No such file or directory\n")
 
 
 def test_null_trace_takes_default_name(tmp_path, capsys, monkeypatch):

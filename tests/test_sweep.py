@@ -4,23 +4,33 @@ import numpy as np
 import pytest
 
 from drivenlevel.comb import survival_metric
+from drivenlevel.config import RunConfig
 from drivenlevel.driving import DrivingField
 from drivenlevel.errors import ConfigError
 from drivenlevel.kernel import kernel_for
 from drivenlevel.spectral import Semicircle, Tabulated
 from drivenlevel import sweep
-from drivenlevel.sweep import SweepAxis, SweepSpec, read_rows, run_sweep
+from drivenlevel.sweep import SweepAxis, read_rows, run_sweep
 from drivenlevel.volterra import aligned_grid, convergence_check
 
 SD = Semicircle(eta=1.0)
 DRIVE = DrivingField(mean=2.5, period=1.25, shape="sine", amplitude=0.5)
 
 
-def small_spec(out_path, axes=None, drive=DRIVE, sd=SD, h=0.02):
+def small_spec(out_path, axes=None, drive=DRIVE, sd=SD, h=0.02,
+               window=(10.0, 20.0), workers=1):
+    """The RunConfig of a short sweep writing to out_path."""
     if axes is None:
         axes = (SweepAxis("period", (1.25, 1.32)),)
-    return SweepSpec(sd=sd, eps_s=0.0, drive=drive, t_max=20.0, h=h,
-                     window=(10.0, 20.0), axes=axes, out_path=str(out_path))
+    block = {"axes": [{"name": a.name, "values": list(a.values)}
+                      for a in axes],
+             "out": str(out_path), "workers": workers}
+    return RunConfig(sd=sd, eps_s=0.0, drive=drive, t_max=20.0, h=h,
+                     window=window, sweep=block)
+
+
+def spec_points(cfg):
+    return sweep._points(sweep._parse_sweep(cfg)[0])
 
 
 def test_axis_validation():
@@ -30,31 +40,34 @@ def test_axis_validation():
         SweepAxis("period", ())
     with pytest.raises(ConfigError):
         SweepAxis("period", (1.0, 1.0))
+    # only a list of numbers will do, not even a string of digits
+    for values in ("12", [1.0, "2"], [True, 2.0], 5):
+        with pytest.raises(ConfigError):
+            SweepAxis("period", values)
 
 
 def test_spec_validation(tmp_path):
     out = tmp_path / "s.csv"
     with pytest.raises(ConfigError):
-        small_spec(out, axes=())
+        run_sweep(small_spec(out, axes=()))
     three = (SweepAxis("period", (1.0, 2.0)), SweepAxis("mean", (0.0, 1.0)),
              SweepAxis("eta", (0.5, 1.0)))
     with pytest.raises(ConfigError):
-        small_spec(out, axes=three)
+        run_sweep(small_spec(out, axes=three))
     dup = (SweepAxis("period", (1.0, 2.0)), SweepAxis("period", (3.0, 4.0)))
     with pytest.raises(ConfigError):
-        small_spec(out, axes=dup)
+        run_sweep(small_spec(out, axes=dup))
     with pytest.raises(ConfigError):
-        SweepSpec(sd=SD, eps_s=0.0, drive=DRIVE, t_max=20.0, h=0.02,
-                  window=(10.0, 30.0),
-                  axes=(SweepAxis("period", (1.0, 2.0)),),
-                  out_path=str(out))
+        run_sweep(small_spec(out, axes=(SweepAxis("period", (1.0, 2.0)),),
+                             window=(10.0, 30.0)))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_point_grid_order(tmp_path):
     spec = small_spec(tmp_path / "s.csv",
                       axes=(SweepAxis("amplitude", (0.1, 0.2)),
                             SweepAxis("period", (1.0, 2.0))))
-    pts = list(spec.points())
+    pts = spec_points(spec)
     assert [tuple(p.values()) for p in pts] == [
         (0.1, 1.0), (0.1, 2.0), (0.2, 1.0), (0.2, 2.0)]
 
@@ -62,8 +75,8 @@ def test_point_grid_order(tmp_path):
 def test_sweep_runs_and_is_deterministic(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
-    run_sweep(small_spec(out1), workers=1)
-    run_sweep(small_spec(out2), workers=2)
+    run_sweep(small_spec(out1, workers=1))
+    run_sweep(small_spec(out2, workers=2))
     assert out1.read_text() == out2.read_text()
     rows = read_rows(out1)
     assert len(rows) == 2
@@ -78,12 +91,12 @@ def test_sweep_runs_and_is_deterministic(tmp_path):
 def test_resume_is_byte_identical(tmp_path):
     out = tmp_path / "s.csv"
     spec = small_spec(out)
-    run_sweep(spec, workers=1)
+    run_sweep(spec)
     full = out.read_text()
     # drop the last row and rerun: only the missing point is recomputed
     lines = full.splitlines(keepends=True)
     out.write_text("".join(lines[:-1]))
-    run_sweep(spec, workers=1)
+    run_sweep(spec)
     assert out.read_text() == full
 
 
@@ -91,13 +104,13 @@ def test_resume_is_byte_identical(tmp_path):
 def test_resume_after_torn_row_is_byte_identical(tmp_path, row, keep):
     out = tmp_path / "s.csv"
     spec = small_spec(out, axes=(SweepAxis("period", (1.25, 1.32, 1.4)),))
-    run_sweep(spec, workers=1)
+    run_sweep(spec)
     full = out.read_bytes()
     # a writer killed mid-row: everything after part of one row is lost
     lines = full.splitlines(keepends=True)
     cut = len(b"".join(lines[:row])) + int(keep * (len(lines[row]) - 1))
     out.write_bytes(full[:cut])
-    assert run_sweep(spec, workers=1) == -row
+    assert run_sweep(spec)["rows_computed"] == -row
     assert out.read_bytes() == full
     assert not (tmp_path / "s.csv.json.partial").exists()
 
@@ -105,29 +118,29 @@ def test_resume_after_torn_row_is_byte_identical(tmp_path, row, keep):
 def test_torn_header_restarts(tmp_path):
     out = tmp_path / "s.csv"
     spec = small_spec(out)
-    run_sweep(spec, workers=1)
+    run_sweep(spec)
     full = out.read_bytes()
     out.write_bytes(full[:7])
-    assert run_sweep(spec, workers=1) == 2
+    assert run_sweep(spec)["rows_computed"] == 2
     assert out.read_bytes() == full
 
 
 def test_sidecar_guards_against_stale_output(tmp_path):
     out = tmp_path / "s.csv"
-    run_sweep(small_spec(out), workers=1)
+    run_sweep(small_spec(out))
     sidecar = json.loads((tmp_path / "s.csv.json").read_text())
     assert sidecar["n_points"] == 2
     # a different sweep must refuse to append to this file
     other = small_spec(out, axes=(SweepAxis("period", (1.25, 1.4)),))
     with pytest.raises(ConfigError):
-        run_sweep(other, workers=1)
+        run_sweep(other)
 
 
 def test_failed_point_recorded_not_fatal(tmp_path):
     out = tmp_path / "s.csv"
     # period 0.1 needs h below T/40 = 0.0025, so that point must fail
     spec = small_spec(out, axes=(SweepAxis("period", (0.1, 1.25)),))
-    run_sweep(spec, workers=1)
+    run_sweep(spec)
     rows = read_rows(out)
     assert len(rows) == 2
     bad = rows[0]
@@ -142,15 +155,15 @@ def test_eta_axis_requires_semicircle(tmp_path):
     vals = np.sqrt(np.clip(4.0 - grid**2, 0.0, None))
     sd = Tabulated(grid, vals, ((-2.0, 2.0),))
     with pytest.raises(ConfigError):
-        small_spec(tmp_path / "s.csv", sd=sd,
-                   axes=(SweepAxis("eta", (0.5, 1.0)),))
+        run_sweep(small_spec(tmp_path / "s.csv", sd=sd,
+                             axes=(SweepAxis("eta", (0.5, 1.0)),)))
 
 
 def test_single_point_matches_direct_evolution(tmp_path):
     out = tmp_path / "s.csv"
     spec = small_spec(out, axes=(SweepAxis("amplitude", (0.5,)),))
     # single-value axes are allowed, only repeated values are not
-    run_sweep(spec, workers=1)
+    run_sweep(spec)
     row = read_rows(out)[0]
 
     grid = aligned_grid(0.0, 20.0, 0.02, DRIVE)
@@ -197,14 +210,12 @@ def test_default_pool_sized_from_affinity(tmp_path, monkeypatch, affinity,
         monkeypatch.setattr(sweep.os, "sched_getaffinity",
                             lambda pid: set(affinity))
     axes = (SweepAxis("period", (1.25, 1.32, 1.4, 1.5)),)
-    run_sweep(small_spec(tmp_path / "s.csv", axes=axes))
+    run_sweep(small_spec(tmp_path / "s.csv", axes=axes, workers=None))
     assert _RecordingPool.sizes == [want]
 
 
 def _per_point_rows(spec):
-    return [sweep.evaluate_point((spec.sd, spec.eps_s, spec.drive,
-                                  spec.t_max, spec.h, spec.window, pt))
-            for pt in spec.points()]
+    return [sweep.evaluate_point((spec, pt)) for pt in spec_points(spec)]
 
 
 def _csv_rows(path):
@@ -218,10 +229,10 @@ def test_failing_point_in_a_batch_matches_per_point_rows(tmp_path):
     spec = small_spec(tmp_path / "s.csv",
                       axes=(SweepAxis("period", (1.25, 0.1, 1.32)),))
     keys = [sweep._batch_key(spec, i, pt)
-            for i, pt in enumerate(spec.points())]
+            for i, pt in enumerate(spec_points(spec))]
     assert sweep._batches(keys, 1) == [slice(0, 3)]
-    run_sweep(spec, workers=1)
-    rows = _csv_rows(spec.out_path)
+    run_sweep(spec)
+    rows = _csv_rows(spec.sweep["out"])
     assert rows == _per_point_rows(spec)
     assert rows[1][-1].startswith("StepTooLarge: h = 0.02 too coarse")
     assert [r[-1] for r in rows[::2]] == ["ok", "ok"]
@@ -234,11 +245,11 @@ def test_square_periods_split_by_aligned_step(tmp_path):
     spec = small_spec(tmp_path / "s.csv", drive=drive,
                       axes=(SweepAxis("period", (1.0, 1.3, 2.0, 2.6)),))
     keys = [sweep._batch_key(spec, i, pt)
-            for i, pt in enumerate(spec.points())]
+            for i, pt in enumerate(spec_points(spec))]
     assert keys[0] == keys[2] == keys[3] != keys[1]
     assert sweep._batches(keys, 1) == [slice(0, 1), slice(1, 2), slice(2, 4)]
-    run_sweep(spec, workers=1)
-    rows = _csv_rows(spec.out_path)
+    run_sweep(spec)
+    rows = _csv_rows(spec.sweep["out"])
     assert rows == _per_point_rows(spec)
     assert all(r[-1] == "ok" for r in rows)
 
@@ -263,15 +274,24 @@ def test_batches_are_contiguous_and_balanced(keys, workers, sizes):
 def test_progress_line_per_batch(tmp_path, capsys):
     spec = small_spec(tmp_path / "s.csv",
                       axes=(SweepAxis("period", (1.25, 1.32, 1.4)),))
-    run_sweep(spec, workers=1)
+    run_sweep(spec)
     full = (tmp_path / "s.csv").read_text()
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("sweep: 3/3 rows, ")
     # a resumed sweep counts the rows already on disk
     lines = full.splitlines(keepends=True)
     (tmp_path / "s.csv").write_text("".join(lines[:-1]))
-    run_sweep(spec, workers=1)
+    run_sweep(spec)
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("sweep: 3/3 rows, ")
     assert err[0].endswith(" s")
     assert (tmp_path / "s.csv").read_text() == full
+
+
+def test_spec_hash_is_frozen(tmp_path):
+    # the digest in the sidecars of sweeps already on disk: a change here
+    # makes every half-finished sweep refuse to resume
+    spec = small_spec(tmp_path / "s.csv")
+    axes = sweep._parse_sweep(spec)[0]
+    assert sweep.spec_hash(spec, axes) == (
+        "472dce5ee6df5bece057fe6795d08de7d882ddc4fbdcb0c4b05b8d289a92f90a")
