@@ -7,6 +7,10 @@ config's output block.  Exit codes: 0 success, 2 configuration problem
 (an output file that cannot be written included), 3 numerical failure.
 Output files are written to NAME.partial first and renamed only on
 success, so an interrupted run never leaves a file that looks finished.
+
+Only the config loader and the error types are imported here; each command
+imports the layers it runs when it is called, so a process loads only what
+its command uses (only `sweep` loads the process pool and hashlib).
 """
 
 import argparse
@@ -16,16 +20,8 @@ import sys
 
 import numpy as np
 
-from . import oracle
-from .comb import comb_reports
 from .config import load_config
 from .errors import ConfigError, DrivenLevelError
-from .kernel import kernel_for
-from .spectral import compute_u0, find_bound_states
-from .svgplot import line_plot
-from .sweep import run_sweep
-from .traceio import write_atomic, write_json, write_trace
-from .volterra import PropagatorTrace, aligned_grid, evolve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -37,6 +33,9 @@ def _print_json(obj):
 
 
 def _svg_from_traces(path, labeled_traces, title):
+    from .svgplot import line_plot
+    from .traceio import write_atomic
+
     curves = [(tr.times(), tr.magnitude(), label)
               for tr, label in labeled_traces]
     write_atomic(path,
@@ -48,12 +47,16 @@ def _print_and_report(cfg, payload):
     _print_json(payload)
     report = cfg.output.get("report")
     if report:
+        from .traceio import write_json
         write_json(report, payload, indent=2)
     return EXIT_OK
 
 
 def _solve(cfg):
     """(grid, trace) of the configured drive, evolved on its aligned grid."""
+    from .kernel import kernel_for
+    from .volterra import aligned_grid, evolve
+
     cfg.require_grid()
     cfg.require_drive()
     grid = aligned_grid(0.0, cfg.t_max, cfg.h, cfg.drive)
@@ -63,12 +66,18 @@ def _solve(cfg):
 
 
 def cmd_bound_states(cfg, args):
+    from .spectral import find_bound_states
+
     states = find_bound_states(cfg.sd, cfg.eps_on)
     return _print_and_report(
         cfg, [{"energy": s.energy, "residue": s.residue} for s in states])
 
 
 def cmd_u0(cfg, args):
+    from .spectral import compute_u0
+    from .traceio import write_atomic, write_trace
+    from .volterra import PropagatorTrace, aligned_grid
+
     cfg.require_grid()
     grid = aligned_grid(0.0, cfg.t_max, cfg.h)
     values = compute_u0(cfg.sd, cfg.eps_on, grid.times())
@@ -84,6 +93,10 @@ def cmd_u0(cfg, args):
 
 
 def cmd_evolve(cfg, args):
+    from .spectral import compute_u0
+    from .traceio import write_atomic, write_trace
+    from .volterra import PropagatorTrace
+
     grid, trace = _solve(cfg)
     extra = None
     labeled = [(trace, "driven")]
@@ -104,6 +117,9 @@ def cmd_evolve(cfg, args):
 
 
 def cmd_comb(cfg, args):
+    from .comb import comb_reports
+    from .spectral import find_bound_states
+
     cfg.require_drive()
     states = find_bound_states(cfg.sd, cfg.eps_on)
     reports = comb_reports(states, cfg.drive, cfg.sd.band)
@@ -112,6 +128,8 @@ def cmd_comb(cfg, args):
 
 
 def cmd_oracle_compare(cfg, args):
+    from . import oracle
+
     grid, trace = _solve(cfg)
     model = oracle.discretize(cfg.sd, cfg.n_modes, cfg.eps_s)
     ref = oracle.propagate(model, cfg.drive, grid)
@@ -124,6 +142,8 @@ def cmd_oracle_compare(cfg, args):
 
 
 def cmd_sweep(cfg, args):
+    from .sweep import run_sweep
+
     _print_json(run_sweep(cfg))
     return EXIT_OK
 

@@ -91,8 +91,10 @@ def line_plot(path, curves, title="", ylabel=""):
 
     for i, (x, y, _) in enumerate(curves):
         keep = np.isfinite(x) & np.isfinite(y)
-        pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}"
-                       for a, b in zip(x[keep], y[keep]))
+        # sx, sy on whole arrays round exactly as on each point; one
+        # %-template formats every point, and the trailing space is cut
+        xy = np.column_stack([sx(x[keep]), sy(y[keep])])
+        pts = (("%.2f,%.2f " * len(xy)) % tuple(xy.ravel().tolist()))[:-1]
         color = _COLORS[i % len(_COLORS)]
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="1.4"/>')

@@ -232,14 +232,30 @@ def _batches(keys, workers):
     return batches
 
 
+def _read(path):
+    """The bytes of the file at path; one that cannot be read (a directory,
+    say) is a ConfigError."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot read {path}: {exc.strerror or exc}") from None
+
+
 def _check_sidecar(path, meta):
     """Write the sidecar meta to path, or check that the one there was
-    written for the same sweep."""
+    written for the same sweep.  A sidecar that cannot be read, or is not
+    a JSON object, is a ConfigError."""
     if not os.path.exists(path):
         write_json(path, meta, sort_keys=True, indent=1)
         return
-    with open(path) as fh:
-        old = json.load(fh)
+    try:
+        old = json.loads(_read(path))
+    except ValueError as exc:
+        raise ConfigError(f"{path} is not a sweep sidecar: {exc}") from None
+    if not isinstance(old, dict):
+        raise ConfigError(f"{path} is not a sweep sidecar: not a JSON object")
     if old.get("spec_hash") != meta["spec_hash"]:
         raise ConfigError(
             f"{path} was written for a different sweep; "
@@ -270,8 +286,7 @@ def _completed_rows(path, header):
     """
     if not os.path.exists(path):
         return None
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = _read(path)
     ends = _row_ends(data)
     header = header.encode()
     if not ends and header.startswith(data):

@@ -71,13 +71,13 @@ def write_trace(path, trace, config, extra_columns=None):
     cols += [np.asarray(extras[name], dtype=float) for name in extras]
     # csv.writer's own row format: '.17g' numbers never need quoting, and
     # its line terminator is \r\n
-    row_fmt = ",".join(["{:.17g}"] * len(cols)) + "\r\n"
+    row_fmt = ",".join(["%.17g"] * len(cols)) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
         csv.writer(fh).writerow(["t", "re_u", "im_u", "abs_u"] + list(extras))
         for lo in range(0, t.size, _CHUNK_ROWS):
-            rows = zip(*[c[lo:lo + _CHUNK_ROWS].tolist() for c in cols])
-            fh.write("".join(row_fmt.format(*row) for row in rows))
+            block = np.column_stack([c[lo:lo + _CHUNK_ROWS] for c in cols])
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_trace(path):

@@ -114,6 +114,60 @@ def test_commands_run_without_scipy(tmp_path):
     assert out.returncode == 0, out.stderr
 
 
+# the package's public names when __init__ imported every module eagerly;
+# each must still resolve, now on first use
+EAGER_EXPORTS = (
+    "CombOverlap", "CombReport", "comb_report", "comb_reports",
+    "late_window_peaks", "survival_metric", "RunConfig", "load_config",
+    "DrivingField", "fourier_coefficients", "ConfigError", "DrivenLevelError",
+    "GridMismatch", "KernelCoverage", "QuadratureFailure", "StepTooLarge",
+    "TooCloseToBandEdge", "WindowOutOfRange", "QuadratureKernel",
+    "SemicircleKernel", "kernel_for", "BoundState", "SelfEnergyValue",
+    "Semicircle", "SystemSpectrum", "Tabulated", "compute_u0", "eval_j",
+    "find_bound_states", "self_energy", "self_energy_derivative", "spectrum",
+    "SweepAxis", "run_sweep", "read_trace", "write_trace", "PropagatorTrace",
+    "TimeGrid", "aligned_grid", "convergence_check", "evolve")
+
+# loaded only by the commands that use them
+UNUSED_AT_IMPORT = ("hashlib", "_hashlib", "multiprocessing",
+                    "concurrent.futures") + tuple(
+    f"drivenlevel.{m}" for m in ("sweep", "oracle", "volterra", "kernel",
+                                 "comb", "svgplot", "traceio"))
+
+
+def test_import_and_evolve_leave_out_unused_layers(tmp_path):
+    cfg = write_config(tmp_path, output={"svg": "trace.svg",
+                                         "overlay_u0": True})
+    code = ("import json, sys, drivenlevel, drivenlevel.cli\n"
+            "late = sys.argv[2:]\n"
+            "at_import = [m for m in late if m in sys.modules]\n"
+            "rc = drivenlevel.cli.main(['evolve', '--config', sys.argv[1]])\n"
+            "after = [m for m in ('hashlib', '_hashlib', 'multiprocessing')\n"
+            "         if m in sys.modules]\n"
+            "print(json.dumps([rc, at_import, after]))")
+    out = subprocess.run([sys.executable, "-c", code, cfg, *UNUSED_AT_IMPORT],
+                         env=src_env(), cwd=tmp_path, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    rc, at_import, after_evolve = json.loads(out.stdout.splitlines()[-1])
+    assert rc == EXIT_OK
+    assert at_import == []
+    assert after_evolve == []
+
+
+def test_package_names_resolve_lazily():
+    names = dir(drivenlevel)
+    for name in EAGER_EXPORTS:
+        obj = getattr(drivenlevel, name)
+        assert obj is getattr(sys.modules[obj.__module__], name)
+        assert name in names and name in drivenlevel.__all__
+    assert drivenlevel.sweep is sys.modules["drivenlevel.sweep"]
+    assert "__version__" in vars(drivenlevel)      # set without __getattr__
+    with pytest.raises(AttributeError):
+        drivenlevel.no_such_name
+    assert not hasattr(drivenlevel, "no_such_name")
+
+
 TRIANGLE = {"kind": "tabulated", "grid": [-2.0, 0.0, 2.0],
             "values": [0.0, 1.0, 0.0], "band": [[-2.0, 2.0]]}
 
@@ -245,6 +299,29 @@ def test_unwritable_output_is_config_error(tmp_path, capsys, monkeypatch,
     assert code == EXIT_CONFIG
     assert err == (f"config error: cannot write {path}: "
                    f"No such file or directory\n")
+
+
+@pytest.mark.parametrize("path, content", [
+    ("sweep.csv.json", "{bad"),
+    ("sweep.csv.json", "[]"),
+    ("sweep.csv.json", None),
+    ("sweep.csv", None),
+], ids=["sidecar-not-json", "sidecar-not-object", "sidecar-directory",
+        "out-directory"])
+def test_unreadable_sweep_files_are_config_errors(tmp_path, capsys,
+                                                  monkeypatch, path, content):
+    # content None: path is an existing directory
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, **_sweep_block())
+    if content is None:
+        (tmp_path / path).mkdir()
+    else:
+        (tmp_path / path).write_text(content)
+    code = main(["sweep", "--config", cfg])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert path in err
 
 
 def test_null_trace_takes_default_name(tmp_path, capsys, monkeypatch):

@@ -266,7 +266,10 @@ def test_import_leaves_out_scipy_optimize_and_integrate():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    code = ("import sys, drivenlevel, drivenlevel.cli; "
+    # the package loads its modules on demand, so import each one
+    code = ("import importlib, pkgutil, sys, drivenlevel\n"
+            "for m in pkgutil.iter_modules(drivenlevel.__path__):\n"
+            "    importlib.import_module('drivenlevel.' + m.name)\n"
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env,

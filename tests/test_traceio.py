@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -62,13 +63,20 @@ def _write_trace_csv_writer(path, trace, config, extra_columns=None):
 
 @pytest.mark.parametrize("with_extras", [False, True])
 def test_write_matches_csv_writer_bytes(tmp_path, with_extras):
-    # more rows than one write chunk, with values whose text is unusual
+    # more rows than one write chunk (the block template is built per
+    # chunk, the last one short), with values whose text is unusual
     grid = TimeGrid(-3.0, 1e-3, 2 * _CHUNK_ROWS + 7)
     t = grid.times()
     u = np.exp(-1j * 1.7 * t) * np.exp(-0.03 * t)
-    u[:4] = [0.0, -0.0 + 1e-300j, 1e300 - 5e-324j, np.nan + 1j * np.inf]
+    # signed zeros, subnormals, huge values, non-finite values and values
+    # that need all 17 digits to round-trip
+    u[:8] = [0.0, -0.0 + 1e-300j, 1e300 - 5e-324j, np.nan + 1j * np.inf,
+             0.1 + 0.2 - 1j / 3, 2.2250738585072014e-308 / 3 - 0.0j,
+             -1e300 + 1j * (2.0 / 3), 1.0000000000000002 - 1e-310j]
     tr = PropagatorTrace(grid, u)
-    extras = {"u0 ref": np.cos(t), "b": -t} if with_extras else None
+    awkward = np.cos(t)
+    awkward[-4:] = [-0.0, 4e-320, 1e300, 0.30000000000000004]
+    extras = {"u0 ref": awkward, "b": -t} if with_extras else None
     write_trace(tmp_path / "new.csv", tr, config={"k": [1, 2]},
                 extra_columns=extras)
     _write_trace_csv_writer(tmp_path / "old.csv", tr, config={"k": [1, 2]},
@@ -133,3 +141,44 @@ def test_svg_skips_nan_segments(tmp_path):
     line_plot(path, [(x, y, "curve")])
     text = path.read_text()
     assert "nan" not in text.lower()
+
+
+def _polyline_points_per_point(curves):
+    """Reference: line_plot's polyline points, its axis limits and pixel
+    maps applied one point at a time and formatted one point at a time."""
+    x_lo = min(float(np.nanmin(x)) for x, _ in curves)
+    x_hi = max(float(np.nanmax(x)) for x, _ in curves)
+    y_lo = min(float(np.nanmin(y)) for _, y in curves)
+    y_hi = max(float(np.nanmax(y)) for _, y in curves)
+    if y_lo >= 0.0:
+        y_lo = 0.0
+    y_hi += 0.05 * (y_hi - y_lo) or 1.0
+    px_w, px_h = 720 - 64.0 - 16.0, 440 - 28.0 - 46.0
+
+    def sx(x):
+        return 64.0 + (x - x_lo) / (x_hi - x_lo) * px_w
+
+    def sy(y):
+        return 28.0 + (y_hi - y) / (y_hi - y_lo) * px_h
+
+    out = []
+    for x, y in curves:
+        keep = np.isfinite(x) & np.isfinite(y)
+        out.append(" ".join(f"{sx(a):.2f},{sy(b):.2f}"
+                            for a, b in zip(x[keep], y[keep])))
+    return out
+
+
+def test_svg_points_match_per_point_format(tmp_path):
+    rng = np.random.default_rng(3)
+    x = np.sort(rng.uniform(-7.0, 311.0, 4001))
+    y1 = np.sin(x) * np.exp(-0.01 * x)
+    y1[100:140] = np.nan            # a gap
+    y2 = rng.normal(size=x.size)
+    x2 = x.copy()
+    x2[[0, 2000]] = np.nan
+    curves = [(x, y1), (x2, y2), (x[:3], np.array([-0.0, 0.0, 1e-300]))]
+    path = tmp_path / "plot.svg"
+    line_plot(path, [(a, b, "") for a, b in curves])
+    got = re.findall(r'<polyline points="([^"]*)"', path.read_text())
+    assert got == _polyline_points_per_point(curves)
