@@ -23,6 +23,7 @@ construction, safe to share across workers.
 
 import numpy as np
 
+from . import oscquad
 from .errors import KernelCoverage
 from .oscquad import phase_sum
 from .spectral import Semicircle, Tabulated, _interval_nodes
@@ -84,8 +85,13 @@ def _tabulated_transform(sd, lo, hi, s):
         out[small] = np.exp(-1j * c * ss) * acc
     big = ~small
     ss = s[big]
+    # (i/s) ends - slopes / s^2, each term formed in place
     ends = phase_sum((x[0], x[-1]), (-jv[0], jv[-1]), ss)
-    out[big] = (1j / ss) * ends - phase_sum(x, jumps, ss) / ss ** 2
+    ends *= 1j / ss
+    slopes = phase_sum(x, jumps, ss)
+    slopes /= ss ** 2
+    ends -= slopes
+    out[big] = ends
     return out
 
 
@@ -103,16 +109,22 @@ class SemicircleKernel:
         s = np.asarray(s, dtype=float)
         sd = self.sd
         r = 2.0 * sd.v0
-        a = r * float(np.max(np.abs(s), initial=0.0))
+        a = r * max(abs(float(s.min(initial=0.0))),
+                    abs(float(s.max(initial=0.0))))
         # the positive half of n = 2m nodes, each weight doubled
         m = int(np.ceil(0.25 * a + 2.0 * np.cbrt(a) + 0.5 * _CHEB_MARGIN))
         theta = np.arange(1, m + 1) * (np.pi / (2 * m + 1))
         w = (sd.eta * r * np.sin(theta)) ** 2 / (2 * m + 1)
-        out = (np.exp(-1j * sd.eps0 * s)
-               * phase_sum(r * np.cos(theta), w, s).real)
-        if out.ndim == 0:
-            return complex(out)
-        return out
+        flat = s.ravel()
+        out = phase_sum(r * np.cos(theta), w, flat)
+        # the band-centre phase a slab at a time, in place
+        slab = oscquad._SLAB
+        for lo in range(0, out.size, slab):
+            seg = out[lo:lo + slab]
+            seg[:] = np.exp(-1j * sd.eps0 * flat[lo:lo + slab]) * seg.real
+        if s.ndim == 0:
+            return complex(out[0])
+        return out.reshape(s.shape)
 
     def lag_samples(self, h, n):
         """g on the lag grid 0, h, ..., n*h."""
@@ -134,11 +146,16 @@ class QuadratureKernel:
             raise ValueError("need h > 0 and max_lag >= 0")
         self.h = float(h)
         n = int(np.ceil(max_lag / h - _LAG_ATOL))
-        lags = h * np.arange(n + 1)
-        g = np.zeros(lags.shape, dtype=complex)
-        for lo, hi in sd.band:
-            g += _tabulated_transform(sd, lo, hi, lags)
-        self.cache = g / (2.0 * np.pi)
+        # filled a slab of lags at a time, so the transforms' temporaries
+        # stay a fixed size however long the cache
+        self.cache = np.zeros(n + 1, dtype=complex)
+        slab = oscquad._SLAB
+        for k0 in range(0, n + 1, slab):
+            seg = self.cache[k0:k0 + slab]
+            lags = h * np.arange(k0, k0 + seg.size)
+            for lo, hi in sd.band:
+                seg += _tabulated_transform(sd, lo, hi, lags)
+            seg /= 2.0 * np.pi
         self.cache.setflags(write=False)
 
     def lag_samples(self, h, n):

@@ -48,6 +48,8 @@ from .volterra import PropagatorTrace, compare
 # |psi|^2 drift allowed at the end of a run: the README run (2000 modes,
 # 20 000 steps) drifts by 8e-13, so this leaves three decades of headroom
 NORM_SLACK = 1e-9
+# steps whose kick and read factors are held at once, as Python complex
+_CHUNK_STEPS = 4096
 # chain sites kept beyond the light cone b_max * span (chain_hamiltonian).
 # Against the whole star on the README run (2000 modes, t = 200) a margin of
 # 10 / 20 / 30 / 50 misses by 5.7e-5 / 1.3e-8 / 5.4e-13 / 2.4e-13; 20 also
@@ -142,6 +144,29 @@ def _eigensystem(model, mean, span):
     return lam, np.ascontiguousarray(vecs[0, :])   # level's row = e0
 
 
+def _kicks(drive, grid, lo, hi):
+    """Phase factors of steps lo <= k < hi (capped at the last step).
+
+    Returns step lo's opening half-step phase, then the kick factors
+    e^{-i phi} - 1 and the read factors as lists of Python complex.  Kick
+    k follows phase step k: step k's closing half plus step k+1's opening
+    half; the last step closes alone.
+    """
+    h = grid.h
+    # nodes lo .. hi+1: step hi's opening half goes into kick hi - 1
+    t = grid.times(lo, hi + 2)
+    mid = t[:-1] + 0.5 * h
+    # closed-form modulation integrals over half steps
+    pint = drive.modulation_integral
+    left = pint(mid) - pint(t[:-1])
+    right = pint(t[1:]) - pint(mid)
+    m = min(hi, grid.n_steps) - lo
+    phase = right[:m].copy()
+    phase[:left.size - 1] += left[1:m + 1]
+    kicks = (np.exp(-1j * phase) - 1.0).tolist()
+    return left[0], kicks, np.exp(-1j * right[:m]).tolist()
+
+
 def propagate(model, drive, grid):
     """Level amplitude u(t_k, t0) on the grid; returns a PropagatorTrace.
 
@@ -156,36 +181,27 @@ def propagate(model, drive, grid):
             f"span {span:.1f} exceeds trust horizon {horizon:.1f}; "
             f"increase n_modes")
     lam, q = _eigensystem(model, drive.mean, span)
-    h = grid.h
-    t = grid.times()
-    phase_step = np.exp(-1j * h * lam)
-
-    # closed-form modulation integrals over half steps
-    pint = drive.modulation_integral
-    left = pint(t[:-1] + 0.5 * h) - pint(t[:-1])
-    right = pint(t[1:]) - pint(t[:-1] + 0.5 * h)
-
-    # kick k follows phase step k: step k's closing half plus step k+1's
-    # opening half; the last step closes alone
-    kicks = (np.exp(-1j * np.append(right[:-1] + left[1:], right[-1]))
-             - 1.0).tolist()
-    reads = np.exp(-1j * right).tolist()
+    n = grid.n_steps
+    phase_step = np.exp(-1j * grid.h * lam)
 
     psi = q.astype(complex)               # e0 in the eigenbasis
-    u = np.empty(grid.n_steps + 1, dtype=complex)
+    u = np.empty(n + 1, dtype=complex)
     u[0] = q @ psi
-    psi += (np.exp(-1j * left[0]) - 1.0) * u[0] * q
-    for k in range(grid.n_steps):
-        psi *= phase_step
-        amp = q @ psi
-        u[k + 1] = reads[k] * amp
-        psi += (kicks[k] * amp) * q
+    for lo in range(0, n, _CHUNK_STEPS):
+        opening, kicks, reads = _kicks(drive, grid, lo, lo + _CHUNK_STEPS)
+        if lo == 0:
+            psi += (np.exp(-1j * opening) - 1.0) * u[0] * q
+        for k in range(len(reads)):
+            psi *= phase_step
+            amp = q @ psi
+            u[lo + k + 1] = reads[k] * amp
+            psi += (kicks[k] * amp) * q
 
     bad = ~np.isfinite(u)
     if bad.any():
         k = int(np.argmax(bad))
-        raise DrivenLevelError(
-            f"oracle: non-finite u at node {k} (t = {t[k]:.6g})")
+        raise DrivenLevelError(f"oracle: non-finite u at node {k} "
+                               f"(t = {grid.times(k, k + 1)[0]:.6g})")
     drift = abs(np.vdot(psi, psi).real - 1.0)
     if not drift <= NORM_SLACK:
         raise DrivenLevelError(

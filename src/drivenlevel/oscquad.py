@@ -18,23 +18,50 @@ import numpy as np
 
 from .errors import QuadratureFailure
 
-# elements per temporary complex slab; bounds peak memory of every phase sum
-_SLAB = 1 << 16
+# elements per temporary complex slab (256 KB): bounds the working memory of
+# every phase sum, of the tabulated lag cache's chunks and of the tabulated
+# shift in `spectral`
+_SLAB = 1 << 14
 # below this many times the blocked split saves too little to pay off
 _BLOCKED_MIN = 64
 # uniformity tolerance in units of eps * max|t|
 _UNIFORM_ULPS = 8.0
 # node budget of the angle quadrature's panel doubling
 _MAX_NODES = 1 << 21
+# Gauss-Legendre 16-point rule on [-1, 1], bit for bit
+# numpy.polynomial.legendre.leggauss(16), which would import numpy.polynomial;
+# written out, since even a negation at import touches ~64 KB of numpy pages
+_GL16_X = np.array((-0.9894009349916499, -0.9445750230732326,
+                    -0.8656312023878318, -0.755404408355003,
+                    -0.6178762444026438, -0.45801677765722737,
+                    -0.2816035507792589, -0.09501250983763744,
+                    0.09501250983763744, 0.2816035507792589,
+                    0.45801677765722737, 0.6178762444026438,
+                    0.755404408355003, 0.8656312023878318,
+                    0.9445750230732326, 0.9894009349916499))
+_GL16_W = np.array((0.027152459411754176, 0.062253523938647456,
+                    0.0951585116824926, 0.12462897125553407,
+                    0.1495959888165767, 0.16915651939500265,
+                    0.18260341504492364, 0.18945061045506864,
+                    0.18945061045506864, 0.18260341504492364,
+                    0.16915651939500265, 0.1495959888165767,
+                    0.12462897125553407, 0.0951585116824926,
+                    0.062253523938647456, 0.027152459411754176))
 
 
 def _uniform_step(t):
     """h if t[k] == t[0] + k*h to a few ulp of max|t|, else None."""
     h = (t[-1] - t[0]) / (t.size - 1)
-    dev = np.max(np.abs(t - (t[0] + h * np.arange(t.size))))
-    # written so that a NaN anywhere in t also fails the test
-    if not dev <= _UNIFORM_ULPS * np.finfo(float).eps * np.max(np.abs(t)):
-        return None
+    # max|t| without a temporary; NaN if t holds one
+    tol = (_UNIFORM_ULPS * np.finfo(float).eps
+           * max(abs(float(t.min())), abs(float(t.max()))))
+    for lo in range(0, t.size, _SLAB):
+        chunk = t[lo:lo + _SLAB]
+        grid = t[0] + h * np.arange(lo, lo + chunk.size)
+        dev = np.max(np.abs(chunk - grid))
+        # written so that a NaN anywhere in t also fails the test
+        if not dev <= tol:
+            return None
     return h
 
 
@@ -42,8 +69,9 @@ def _direct_phase_sum(x, w, t):
     out = np.empty(t.shape, dtype=complex)
     chunk = max(1, _SLAB // max(1, x.size))
     for lo in range(0, t.size, chunk):
-        tc = t[lo:lo + chunk, None]
-        out[lo:lo + tc.size] = np.exp(-1j * tc * x[None, :]) @ w
+        p = np.multiply.outer(-1j * t[lo:lo + chunk], x)
+        np.exp(p, out=p)
+        out[lo:lo + p.shape[0]] = p @ w
     return out
 
 
@@ -52,17 +80,27 @@ def _blocked_phase_sum(x, w, t, h):
     n = t.size
     blk = int(np.ceil(np.sqrt(n)))
     starts = t[::blk]
-    steps = h * np.arange(blk)
+    steps = -1j * (h * np.arange(blk))
+    # row b holds block b, so the first n entries of out, flat, are S
+    out = np.zeros((starts.size, blk), dtype=complex)
     # nodes in slabs so neither P (blk x mc) nor F (mc x n_blocks) outgrows
-    # the direct path's budget
-    mc = max(1, _SLAB // max(blk, starts.size))
-    acc = np.zeros((blk, starts.size), dtype=complex)
+    # the slab, and rows of out per product so its temporary fits it too;
+    # but 64 of each at least (beyond 2^16 times the three outgrow the
+    # slab): each node slab reads and writes all of out, and each product
+    # repacks P, so thinner ones cost time (16 rows: +10% at 10^6 times)
+    mc = max(64, _SLAB // max(blk, starts.size))
+    rows = max(64, _SLAB // blk)
     for lo in range(0, x.size, mc):
         xs = x[lo:lo + mc]
-        p = np.exp(-1j * steps[:, None] * xs[None, :])
-        f = w[lo:lo + mc, None] * np.exp(-1j * xs[:, None] * starts[None, :])
-        acc += p @ f
-    return acc.T.ravel()[:n]
+        # each factor built in its own buffer, no temporaries beside it
+        p = np.multiply.outer(steps, xs)
+        np.exp(p, out=p)
+        f = np.multiply.outer(-1j * xs, starts)
+        np.exp(f, out=f)
+        f *= w[lo:lo + mc, None]
+        for r in range(0, starts.size, rows):
+            out[r:r + rows] += f[:, r:r + rows].T @ p.T
+    return out.ravel()[:n]
 
 
 def phase_sum(x, w, t):
@@ -100,21 +138,22 @@ def angle_band_integral(f, a, b, times, tol=1e-8):
     w = 0.5 * (b - a)
     tmax = float(np.max(np.abs(t))) if t.size else 0.0
 
-    glx, glw = np.polynomial.legendre.leggauss(16)
-
     def nodes(n_panels):
         edges = np.linspace(0.0, np.pi, n_panels + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1] - edges[0])
-        phi = (mid[:, None] + half * glx[None, :]).ravel()
-        wts = np.broadcast_to(half * glw, (n_panels, 16)).ravel()
+        phi = (mid[:, None] + half * _GL16_X[None, :]).ravel()
+        wts = np.broadcast_to(half * _GL16_W, (n_panels, 16)).ravel()
         x = c - w * np.cos(phi)
         fx = np.asarray(f(x), dtype=complex) * (w * np.sin(phi)) * wts
         return x, fx
 
-    idx = np.unique(np.clip(np.linspace(0, t.size - 1, 9).astype(int), 0, t.size - 1))
+    # nine spread times and the three largest |t|, sorted and deduplicated
+    # (np.unique would import numpy.ma)
+    idx = np.linspace(0, t.size - 1, 9).astype(int)
     order = np.argsort(np.abs(t))
-    probe = np.unique(np.concatenate([t[idx], t[order[-3:]]]))
+    probe = np.sort(np.concatenate([t[idx], t[order[-3:]]]))
+    probe = probe[np.append(True, probe[1:] != probe[:-1])]
 
     # ~2 pi phase per panel to start; GL-16 resolves that comfortably
     n = max(16, int(np.ceil(0.5 * w * tmax)))

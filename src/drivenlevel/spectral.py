@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import oscquad
 from .errors import QuadratureFailure, TooCloseToBandEdge
 from .oscquad import angle_band_integral, phase_sum
 
@@ -29,7 +30,6 @@ DERIVATIVE_FLOOR = 1e-9     # refuse derivative evaluation closer than this
 TOL_ROOT = 1e-12
 U0_BOUND_SLACK = 1e-6       # |u0| <= 1 by the sum rule; quadrature slack
 U0_TOL = 1e-8               # relative tolerance of each u0 band integral
-_SLAB = 1 << 21             # elements per temporary in the tabulated shift
 
 
 @dataclass(frozen=True)
@@ -196,7 +196,7 @@ def _delta_tabulated(sd, eps):
         x, jv = _interval_nodes(sd, lo, hi)
         dx = np.diff(x)
         b = np.diff(jv) / dx
-        step = max(1, _SLAB // x.size)
+        step = max(1, oscquad._SLAB // x.size)
         for i in range(0, flat.shape[0], step):
             e = flat[i:i + step]
             c = jv[:-1] + b * (e - x[:-1])

@@ -9,6 +9,8 @@ import numpy as np
 _COLORS = ("#1f5fa8", "#c44e52", "#2a8a5c", "#8172b2", "#937860")
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64.0, 16.0, 28.0, 46.0
 _WIDTH, _HEIGHT = 720, 440
+# points formatted per write; bounds the text held in memory at once
+_CHUNK_POINTS = 2048
 
 
 def _nice_ticks(lo, hi, target=6):
@@ -35,22 +37,39 @@ def _fmt_tick(v):
     return s
 
 
+def _drawn(x, y):
+    """The points a polyline draws, finite in both coordinates, a chunk of
+    points at a time."""
+    for lo in range(0, x.size, _CHUNK_POINTS):
+        xc, yc = x[lo:lo + _CHUNK_POINTS], y[lo:lo + _CHUNK_POINTS]
+        keep = np.isfinite(xc) & np.isfinite(yc)
+        yield xc[keep], yc[keep]
+
+
 def line_plot(path, curves, title="", ylabel=""):
     """Write an SVG of the given curves against t.
 
     curves: iterable of (x, y, label); label may be "" to skip the legend
-    entry.  Axis limits come from the data, y is padded slightly and pinned
-    to include 0 when all values are nonnegative.
+    entry.  Points with a non-finite coordinate are skipped.  Axis limits
+    come from the points drawn, y is padded slightly and pinned to include
+    0 when all values are nonnegative.  The polylines are written a chunk
+    of points at a time.
     """
     curves = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float), label)
               for x, y, label in curves]
     if not curves:
         raise ValueError("need at least one curve")
     w, h = _WIDTH, _HEIGHT
-    x_lo = min(float(np.nanmin(x)) for x, _, _ in curves)
-    x_hi = max(float(np.nanmax(x)) for x, _, _ in curves)
-    y_lo = min(float(np.nanmin(y)) for _, y, _ in curves)
-    y_hi = max(float(np.nanmax(y)) for _, y, _ in curves)
+    x_lo = y_lo = np.inf
+    x_hi = y_hi = -np.inf
+    for x, y, _ in curves:
+        for xc, yc in _drawn(x, y):
+            if xc.size:
+                x_lo, x_hi = min(x_lo, xc.min()), max(x_hi, xc.max())
+                y_lo, y_hi = min(y_lo, yc.min()), max(y_hi, yc.max())
+    if x_lo > x_hi:
+        raise ValueError("no curve has a finite point to draw")
+    x_lo, x_hi, y_lo, y_hi = map(float, (x_lo, x_hi, y_lo, y_hi))
     if y_lo >= 0.0:
         y_lo = 0.0
     pad = 0.05 * (y_hi - y_lo) or 1.0
@@ -89,28 +108,20 @@ def line_plot(path, curves, title="", ylabel=""):
                    f'font-size="11" text-anchor="end" '
                    f'font-family="sans-serif">{_fmt_tick(ty)}</text>')
 
-    for i, (x, y, _) in enumerate(curves):
-        keep = np.isfinite(x) & np.isfinite(y)
-        # sx, sy on whole arrays round exactly as on each point; one
-        # %-template formats every point, and the trailing space is cut
-        xy = np.column_stack([sx(x[keep]), sy(y[keep])])
-        pts = (("%.2f,%.2f " * len(xy)) % tuple(xy.ravel().tolist()))[:-1]
-        color = _COLORS[i % len(_COLORS)]
-        out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                   f'stroke-width="1.4"/>')
-
+    # after the polylines: title, axis labels, legend and the closing tag
+    tail = []
     if title:
-        out.append(f'<text x="{w / 2:.0f}" y="18" font-size="13" '
-                   f'text-anchor="middle" font-family="sans-serif">'
-                   f'{title}</text>')
-    out.append(f'<text x="{_MARGIN_L + px_w / 2:.0f}" y="{h - 10:.0f}" '
-               f'font-size="12" text-anchor="middle" '
-               f'font-family="sans-serif">t</text>')
+        tail.append(f'<text x="{w / 2:.0f}" y="18" font-size="13" '
+                    f'text-anchor="middle" font-family="sans-serif">'
+                    f'{title}</text>')
+    tail.append(f'<text x="{_MARGIN_L + px_w / 2:.0f}" y="{h - 10:.0f}" '
+                f'font-size="12" text-anchor="middle" '
+                f'font-family="sans-serif">t</text>')
     if ylabel:
         yc = _MARGIN_T + px_h / 2
-        out.append(f'<text x="16" y="{yc:.0f}" font-size="12" '
-                   f'text-anchor="middle" font-family="sans-serif" '
-                   f'transform="rotate(-90 16 {yc:.0f})">{ylabel}</text>')
+        tail.append(f'<text x="16" y="{yc:.0f}" font-size="12" '
+                    f'text-anchor="middle" font-family="sans-serif" '
+                    f'transform="rotate(-90 16 {yc:.0f})">{ylabel}</text>')
 
     ly = _MARGIN_T + 14
     for i, (_, _, label) in enumerate(curves):
@@ -118,12 +129,28 @@ def line_plot(path, curves, title="", ylabel=""):
             continue
         color = _COLORS[i % len(_COLORS)]
         lx = _MARGIN_L + px_w - 130
-        out.append(f'<line x1="{lx:.0f}" y1="{ly - 4:.0f}" x2="{lx + 22:.0f}" '
-                   f'y2="{ly - 4:.0f}" stroke="{color}" stroke-width="1.4"/>')
-        out.append(f'<text x="{lx + 28:.0f}" y="{ly:.0f}" font-size="11" '
-                   f'font-family="sans-serif">{label}</text>')
+        tail.append(f'<line x1="{lx:.0f}" y1="{ly - 4:.0f}" x2="{lx + 22:.0f}" '
+                    f'y2="{ly - 4:.0f}" stroke="{color}" stroke-width="1.4"/>')
+        tail.append(f'<text x="{lx + 28:.0f}" y="{ly:.0f}" font-size="11" '
+                    f'font-family="sans-serif">{label}</text>')
         ly += 16
 
-    out.append("</svg>")
+    tail.append("</svg>")
+
     with open(path, "w") as fh:
         fh.write("\n".join(out) + "\n")
+        for i, (x, y, _) in enumerate(curves):
+            fh.write('<polyline points="')
+            sep = ""
+            for xc, yc in _drawn(x, y):
+                if not xc.size:
+                    continue
+                # sx, sy on arrays round exactly as on each point; one
+                # %-template formats a chunk's points, space-separated
+                xy = np.column_stack([sx(xc), sy(yc)])
+                fh.write(sep + ("%.2f,%.2f " * len(xy))[:-1]
+                         % tuple(xy.ravel().tolist()))
+                sep = " "
+            color = _COLORS[i % len(_COLORS)]
+            fh.write(f'" fill="none" stroke="{color}" stroke-width="1.4"/>\n')
+        fh.write("\n".join(tail) + "\n")

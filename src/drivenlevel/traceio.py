@@ -13,12 +13,12 @@ import os
 import numpy as np
 
 from .errors import ConfigError
-from .volterra import PropagatorTrace, TimeGrid
 
 FORMAT_NAME = "drivenlevel-trace"
 FORMAT_VERSION = 1
-# rows formatted per write; bounds the text held in memory at once
-_CHUNK_ROWS = 8192
+# rows formatted per write; bounds the text and the columns held in memory
+# at once
+_CHUNK_ROWS = 2048
 
 
 def write_atomic(path, write_fn):
@@ -65,23 +65,28 @@ def write_trace(path, trace, config, extra_columns=None):
         if len(col) != grid.n_steps + 1:
             raise ValueError(f"column {name!r} length {len(col)} does not "
                              f"match the grid ({grid.n_steps + 1} nodes)")
-    t = trace.times()
     u = trace.values
-    cols = [t, u.real, u.imag, np.abs(u)]
-    cols += [np.asarray(extras[name], dtype=float) for name in extras]
+    extra_cols = [np.asarray(extras[name], dtype=float) for name in extras]
     # csv.writer's own row format: '.17g' numbers never need quoting, and
     # its line terminator is \r\n
-    row_fmt = ",".join(["%.17g"] * len(cols)) + "\r\n"
+    row_fmt = ",".join(["%.17g"] * (4 + len(extra_cols))) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
         csv.writer(fh).writerow(["t", "re_u", "im_u", "abs_u"] + list(extras))
-        for lo in range(0, t.size, _CHUNK_ROWS):
-            block = np.column_stack([c[lo:lo + _CHUNK_ROWS] for c in cols])
+        # every column a block of rows at a time, times and |u| included
+        for lo in range(0, grid.n_steps + 1, _CHUNK_ROWS):
+            hi = lo + _CHUNK_ROWS
+            uc = u[lo:hi]
+            block = np.column_stack(
+                [grid.times(lo, hi), uc.real, uc.imag, np.abs(uc)]
+                + [c[lo:hi] for c in extra_cols])
             fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_trace(path):
     """Read a trace written by write_trace; returns (trace, metadata)."""
+    from .volterra import PropagatorTrace, TimeGrid
+
     with open(path, newline="") as fh:
         first = fh.readline()
         if not first.startswith("#"):

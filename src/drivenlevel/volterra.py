@@ -67,8 +67,12 @@ class TimeGrid:
     def t_end(self):
         return self.t0 + self.h * self.n_steps
 
-    def times(self):
-        return self.t0 + self.h * np.arange(self.n_steps + 1)
+    def times(self, start=0, stop=None):
+        """Node times t0 + h*k for start <= k < stop (default and cap: the
+        last node), so a long grid can be walked in pieces."""
+        last = self.n_steps + 1
+        stop = last if stop is None else min(stop, last)
+        return self.t0 + self.h * np.arange(start, stop)
 
     def matches(self, other):
         return (abs(self.t0 - other.t0) < _ALIGN_ATOL
@@ -204,7 +208,6 @@ def evolve(kern, eps_s, drive, grid):
     h = grid.h
     n = grid.n_steps
     p = len(drives)
-    t = grid.times()
 
     g = np.ascontiguousarray(kern.lag_samples(h, n), dtype=complex)
     if g.size != n + 1:
@@ -218,18 +221,22 @@ def evolve(kern, eps_s, drive, grid):
     beta = 0.5 * ah * ah - ah
     kappa = 1.0 - ah
 
-    # exact accumulated phase of each drive's instantaneous level
+    # exact accumulated phase of each drive's instantaneous level, a piece
+    # of nodes at a time
     e = np.empty((n + 1, p), dtype=complex)
     for j, d in enumerate(drives):
-        phi = (eps_s + d.mean) * (t - grid.t0) + d.modulation_integral(t) \
-            - d.modulation_integral(grid.t0)
-        e[:, j] = np.exp(-1j * phi)     # u = e * w
+        phi0 = d.modulation_integral(grid.t0)
+        for lo in range(0, n + 1, _PIECE):
+            t = grid.times(lo, lo + _PIECE)
+            phi = (eps_s + d.mean) * (t - grid.t0) \
+                + d.modulation_integral(t) - phi0
+            e[lo:lo + t.size, j] = np.exp(-1j * phi)     # u = e * w
 
     # u[m] holds node m's history sum until u_m is written over it: first
     # the trapezoid's half-weight term of u_0 = 1, then the earlier blocks
     u = np.empty((n + 1, p), dtype=complex)
     u[0] = 1.0
-    u[1:] = 0.5 * g[1:, None]
+    np.multiply(g[1:, None], 0.5, out=u[1:])
     piece = _piece(p)
     # one drive steps on Python complex, which beats numpy's per-call cost
     one = p == 1
@@ -263,7 +270,8 @@ def evolve(kern, eps_s, drive, grid):
     bad = ~np.isfinite(u).all(axis=1)
     if bad.any():
         k = int(np.argmax(bad))
-        raise StepTooLarge(f"non-finite u at node {k} (t = {t[k]:.6g})")
+        raise StepTooLarge(
+            f"non-finite u at node {k} (t = {grid.times(k, k + 1)[0]:.6g})")
     traces = [PropagatorTrace(grid, u[:, j]) for j in range(p)]
     return traces if batched else traces[0]
 

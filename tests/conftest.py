@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,3 +47,23 @@ def semicircle_quadrature_lags():
                                    tol=1e-10) / (2.0 * np.pi)
 
     return lags
+
+
+@pytest.fixture
+def traced_peak():
+    """peak(fn, *args): (fn(*args), the peak bytes traced while it ran).
+
+    Counts what tracemalloc sees (numpy's buffers included), from zero at
+    the call: the arguments, built before it, are not counted; the result,
+    built inside, is.
+    """
+
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            out = fn(*args)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

@@ -142,7 +142,8 @@ def test_import_and_evolve_leave_out_unused_layers(tmp_path):
             "late = sys.argv[2:]\n"
             "at_import = [m for m in late if m in sys.modules]\n"
             "rc = drivenlevel.cli.main(['evolve', '--config', sys.argv[1]])\n"
-            "after = [m for m in ('hashlib', '_hashlib', 'multiprocessing')\n"
+            "after = [m for m in ('hashlib', '_hashlib', 'multiprocessing',\n"
+            "                     'numpy.ma', 'numpy.polynomial')\n"
             "         if m in sys.modules]\n"
             "print(json.dumps([rc, at_import, after]))")
     out = subprocess.run([sys.executable, "-c", code, cfg, *UNUSED_AT_IMPORT],
@@ -153,6 +154,27 @@ def test_import_and_evolve_leave_out_unused_layers(tmp_path):
     assert rc == EXIT_OK
     assert at_import == []
     assert after_evolve == []
+
+
+@pytest.mark.parametrize("command, output, unused", [
+    # the u0 quadrature takes its Gauss-Legendre rule from constants and
+    # dedupes without np.unique
+    ("u0", {"trace": "u0.csv"}, ("numpy.ma", "numpy.polynomial")),
+    # a report is written without the solver's trace types
+    ("bound-states", {"report": "r.json"}, ("drivenlevel.volterra",)),
+    ("comb", {"report": "r.json"}, ("drivenlevel.volterra",)),
+])
+def test_commands_leave_out_unused_layers(tmp_path, command, output, unused):
+    cfg = write_config(tmp_path, output=output)
+    code = ("import json, sys, drivenlevel.cli\n"
+            "rc = drivenlevel.cli.main([sys.argv[1], '--config', sys.argv[2]])\n"
+            "print(json.dumps([rc, [m for m in sys.argv[3:] "
+            "if m in sys.modules]]))")
+    out = subprocess.run([sys.executable, "-c", code, command, cfg, *unused],
+                         env=src_env(), cwd=tmp_path, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.splitlines()[-1]) == [EXIT_OK, []]
 
 
 def test_package_names_resolve_lazily():

@@ -4,6 +4,7 @@ import pytest
 from scipy import integrate
 from scipy.special import j1
 
+from drivenlevel import oscquad
 from drivenlevel.errors import KernelCoverage
 from drivenlevel.kernel import QuadratureKernel, SemicircleKernel, kernel_for
 from drivenlevel.spectral import Semicircle, Tabulated, eval_j
@@ -139,6 +140,22 @@ def test_tabulated_kernel_small_lags(kinked_two_band):
         want = mp_tabulated_kernel(kinked_two_band, s)
         got = QuadratureKernel(kinked_two_band, s, s).lag_samples(s, 1)[1]
         assert abs(got - want) <= 1e-12 * g0
+
+
+def test_tabulated_cache_chunks_agree(kinked_two_band, monkeypatch):
+    # a slab of 100 lags fills the cache in 31 chunks, the last one short
+    whole = QuadratureKernel(kinked_two_band, 0.01, 30.0).cache
+    monkeypatch.setattr(oscquad, "_SLAB", 100)
+    chunked = QuadratureKernel(kinked_two_band, 0.01, 30.0).cache
+    assert np.max(np.abs(chunked - whole)) <= 1e-15 * abs(whole[0])
+
+
+def test_tabulated_cache_memory_is_cache_plus_chunk(kinked_two_band,
+                                                    traced_peak):
+    kern, peak = traced_peak(QuadratureKernel, kinked_two_band, 0.01,
+                             2000.0)
+    assert kern.cache.size == 200_001
+    assert peak <= kern.cache.nbytes + 2e6, peak - kern.cache.nbytes
 
 
 def test_lag_coverage_errors(kinked_two_band):

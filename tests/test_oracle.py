@@ -165,6 +165,32 @@ def test_unitarity_long_run():
     assert np.max(tr.magnitude()) <= 1.0 + 1e-10
 
 
+def test_propagate_chunks_agree(monkeypatch):
+    # kick and read factors come a chunk of steps at a time; a chunk of 7
+    # steps puts boundaries everywhere, and a factor taken from the wrong
+    # step would move u far beyond roundoff
+    model = oracle.discretize(Semicircle(eta=1.0), 301)
+    drive = DrivingField(mean=2.5, period=1.25, shape="sine", amplitude=0.5)
+    grid = TimeGrid(0.0, 0.01, 1000)
+    whole = oracle.propagate(model, drive, grid)
+    monkeypatch.setattr(oracle, "_CHUNK_STEPS", 7)
+    chunked = oracle.propagate(model, drive, grid)
+    assert np.max(np.abs(chunked.values - whole.values)) <= 1e-14
+
+
+def test_propagate_memory_does_not_grow_with_steps(traced_peak):
+    # the same span in 2000 and in 20 000 steps: the same chain, so beyond
+    # the result the working memory must not grow with the step count
+    model = oracle.discretize(Semicircle(eta=1.0), 2000)
+    drive = DrivingField(mean=2.5, period=1.25, shape="sine", amplitude=0.5)
+    above = []
+    for n in (2000, 20_000):
+        tr, peak = traced_peak(oracle.propagate, model, drive,
+                               TimeGrid(0.0, 200.0 / n, n))
+        above.append(peak - tr.values.nbytes)
+    assert above[1] <= above[0] + 0.5e6, above
+
+
 def test_static_late_amplitude_is_residue():
     # without modulation the level keeps exactly the bound-state weight
     sd = Semicircle(eta=1.0)

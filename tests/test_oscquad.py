@@ -128,6 +128,23 @@ def test_phase_sum_slabs_bound_memory(monkeypatch, blocked_calls):
     assert blocked_calls == [5000]
 
 
+def test_phase_sum_memory_is_output_plus_slabs(traced_peak, monkeypatch):
+    # at 60 000 uniform times 64 nodes a slab fit a 2^14-element slab, so
+    # every temporary beside the output is at most one slab
+    monkeypatch.setattr(oscquad, "_SLAB", 1 << 14)
+    x, w = random_nodes(2000, seed=5)
+    t = 0.01 * np.arange(60_000)
+    out, peak = traced_peak(phase_sum, x, w, t)
+    slab_bytes = oscquad._SLAB * np.dtype(complex).itemsize
+    assert peak - out.nbytes <= 5 * slab_bytes, peak - out.nbytes
+
+
+def test_gauss_legendre_constants_match_leggauss():
+    glx, glw = np.polynomial.legendre.leggauss(16)
+    assert np.array_equal(oscquad._GL16_X, glx)
+    assert np.array_equal(oscquad._GL16_W, glw)
+
+
 def test_u0_readme_run_matches_direct_path(monkeypatch):
     # the README's run: semicircle eta 1, level at 2.5, t <= 200, h = 0.01
     sd = spectral.Semicircle(eta=1.0)

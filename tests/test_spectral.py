@@ -370,7 +370,8 @@ def test_tabulated_shift_chunks_agree(monkeypatch):
     sd = two_band_table()
     eps = np.linspace(-3.5, 3.5, 1001)
     whole = spectral._delta_tabulated(sd, eps)
-    monkeypatch.setattr(spectral, "_SLAB", 50)
+    # the shift shares the phase sums' slab budget
+    monkeypatch.setattr(oscquad, "_SLAB", 50)
     assert np.max(np.abs(spectral._delta_tabulated(sd, eps) - whole)) <= 1e-15
 
 

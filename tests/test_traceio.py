@@ -143,13 +143,61 @@ def test_svg_skips_nan_segments(tmp_path):
     assert "nan" not in text.lower()
 
 
+def test_svg_limits_come_from_drawn_points(tmp_path):
+    x = np.linspace(0.0, 10.0, 101)
+    y = np.sin(x)
+    y[[5, 50]] = [np.inf, -np.inf]
+    y[60] = np.nan
+    x2 = x.copy()
+    x2[3] = np.inf
+    path = tmp_path / "plot.svg"
+    line_plot(path, [(x, y, "a"), (x2, np.cos(x), "b")])
+    text = path.read_text()
+    assert "inf" not in text.lower() and "nan" not in text.lower()
+    got = re.findall(r'<polyline points="([^"]*)"', text)
+    assert got == _polyline_points_per_point([(x, y), (x2, np.cos(x))])
+    with pytest.raises(ValueError, match="finite"):
+        line_plot(path, [(x, np.full_like(x, np.nan), "")])
+
+
+def _peak_per_rows(traced_peak, write, rows):
+    """write's traced peak for each row count; its arrays are built first."""
+    peaks = []
+    for n in rows:
+        grid = TimeGrid(0.0, 0.01, n)
+        t = grid.times()
+        u = np.exp(-1j * 1.7 * t) * np.exp(-0.03 * t)
+        peaks.append(traced_peak(write, grid, t, u, np.abs(u))[1])
+    return peaks
+
+
+def test_trace_writer_memory_does_not_grow(tmp_path, traced_peak):
+    def write(grid, t, u, a):
+        write_trace(tmp_path / "t.csv", PropagatorTrace(grid, u), {},
+                    extra_columns={"abs_u0": a})
+
+    small, large = _peak_per_rows(traced_peak, write, (20_000, 100_000))
+    assert large <= small + 64_000, (small, large)
+
+
+def test_svg_writer_memory_does_not_grow(tmp_path, traced_peak):
+    def write(grid, t, u, a):
+        line_plot(tmp_path / "p.svg", [(t, a, "|u|")])
+
+    small, large = _peak_per_rows(traced_peak, write, (20_000, 100_000))
+    assert large <= small + 64_000, (small, large)
+
+
 def _polyline_points_per_point(curves):
-    """Reference: line_plot's polyline points, its axis limits and pixel
-    maps applied one point at a time and formatted one point at a time."""
-    x_lo = min(float(np.nanmin(x)) for x, _ in curves)
-    x_hi = max(float(np.nanmax(x)) for x, _ in curves)
-    y_lo = min(float(np.nanmin(y)) for _, y in curves)
-    y_hi = max(float(np.nanmax(y)) for _, y in curves)
+    """Reference: line_plot's polyline points, its axis limits (over the
+    points drawn) and pixel maps applied one point at a time and formatted
+    one point at a time."""
+    keeps = [np.isfinite(x) & np.isfinite(y) for x, y in curves]
+    drawn = [(x[k], y[k]) for (x, y), k in zip(curves, keeps)]
+    x_lo = min(float(np.min(x)) for x, _ in drawn if x.size)
+    x_hi = max(float(np.max(x)) for x, _ in drawn if x.size)
+    y_lo = min(float(np.min(y)) for _, y in drawn if y.size)
+    y_hi = max(float(np.max(y)) for _, y in drawn if y.size)
     if y_lo >= 0.0:
         y_lo = 0.0
     y_hi += 0.05 * (y_hi - y_lo) or 1.0
@@ -161,12 +209,8 @@ def _polyline_points_per_point(curves):
     def sy(y):
         return 28.0 + (y_hi - y) / (y_hi - y_lo) * px_h
 
-    out = []
-    for x, y in curves:
-        keep = np.isfinite(x) & np.isfinite(y)
-        out.append(" ".join(f"{sx(a):.2f},{sy(b):.2f}"
-                            for a, b in zip(x[keep], y[keep])))
-    return out
+    return [" ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, y))
+            for x, y in drawn]
 
 
 def test_svg_points_match_per_point_format(tmp_path):

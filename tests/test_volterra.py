@@ -1,5 +1,4 @@
 import functools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,7 +334,7 @@ def test_non_finite_value_in_a_batch_names_the_node():
         evolve(_NanLagKernel(5), 0.0, drives, TimeGrid(0.0, 0.01, 300))
 
 
-def test_batch_memory_stays_bounded():
+def test_batch_memory_stays_bounded(traced_peak):
     # peak traced allocation of a _BATCH-wide solve at N = 10 000, lag
     # samples included: measured 4.6 MB (numpy 2.4.6), of which the result
     # and the phases are 1.3 MB each
@@ -343,10 +342,5 @@ def test_batch_memory_stays_bounded():
                            amplitude=0.5) for j in range(sweep._BATCH)]
     kern = SemicircleKernel(Semicircle(eta=0.8))
     grid = TimeGrid(0.0, 0.01, 10_000)
-    tracemalloc.start()
-    try:
-        evolve(kern, 0.0, drives, grid)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(evolve, kern, 0.0, drives, grid)
     assert peak <= 5.0e6, peak
