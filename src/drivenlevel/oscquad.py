@@ -19,8 +19,8 @@ import numpy as np
 from .errors import QuadratureFailure
 
 # elements per temporary complex slab (256 KB): bounds the working memory of
-# every phase sum, of the tabulated lag cache's chunks and of the tabulated
-# shift in `spectral`
+# every phase sum, of the tabulated lag cache's chunks, of the tabulated
+# shift in `spectral` and of `evolve`'s phase window and final scan
 _SLAB = 1 << 14
 # below this many times the blocked split saves too little to pay off
 _BLOCKED_MIN = 64

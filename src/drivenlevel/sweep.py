@@ -43,10 +43,13 @@ SIDECAR_FORMAT = "drivenlevel-sweep"
 _BASE_COLUMNS = ("prediction", "min_order", "metric", "error_estimate",
                  "status")
 
-# most points per batched solve.  Wider batches save little more time, and
-# a worker's memory grows with the width: at 8 the pool's workers on the
-# benchmark's 48-point sweep stay below the main process's peak RSS
-_BATCH = 8
+# most points per batched solve.  A batch's working memory does not grow
+# with its width, only its result does, while its cost per drive and step
+# falls: 1.3 / 0.9 / 0.78 / 0.64 / 0.59 us at widths 8 / 12 / 16 / 24 / 32
+# (semicircle, N = 10 000, one BLAS thread, CPU time, best of 15 on a
+# shared 2-core box, numpy 2.4.6).  At 24 a 48-point sweep on two workers
+# is one batch per worker
+_BATCH = 24
 
 
 @dataclasses.dataclass(frozen=True)

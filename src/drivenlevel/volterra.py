@@ -30,9 +30,12 @@ bits); they agree with the direct O(N^2) sum to roundoff, not bit for bit.
 Because the schedule depends only on N, drives that share the grid and the
 kernel can share one time loop: `evolve` takes a list of drives and steps
 u as an (N+1, P) array, so each numpy call of a step serves P drives.  The
-per-step cost is interpreter overhead, not arithmetic, so 8 drives step in
-about the time of 3 single ones.  The FFT pieces shrink with P, which keeps
-a batch's transforms about as large as one drive's.
+per-step cost is interpreter overhead, not arithmetic, so 24 drives step
+in about the time of 5 single ones.  Every P cuts its squares into the
+same pieces and walks the columns of a wide square in chunks, so no
+transform holds more than one drive's largest, and the level phase is
+built a window of nodes at a time: beyond its result, a batch's working
+memory does not grow with P.
 """
 
 from dataclasses import dataclass
@@ -40,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, StepTooLarge
+from .oscquad import _SLAB
 
 MAX_PHASE_PER_STEP = 0.1    # h * max|eps_s + eps_d| must stay below this
 MIN_STEPS_PER_PERIOD = 40
@@ -131,49 +135,58 @@ def _check_preconditions(eps_s, drive, grid):
                     f"is not an integer multiple of h = {h}")
 
 
-def _piece(p):
-    """FFT piece length for a p-drive solve.
-
-    _PIECE shrunk by the next power of two >= p, so the transforms of a
-    batch take about the memory of one drive's; it stays a power-of-two
-    multiple of _BLOCK, so it divides every square width.
-    """
-    return max(_BLOCK, _PIECE >> (p - 1).bit_length())
-
-
-def _add_far(u, g, src, dst, size, piece):
+def _add_far(u, g, src, dst, size):
     """u[dst + q] += sum_r g[dst - src + q - r] u[src + r], q, r < size.
 
-    One square of the history convolution, by FFT, for every column of u
-    at once.  Sources and targets are cut into pieces of at most `piece`
-    nodes, so every transform has at most 2 * piece points; each target
-    piece accumulates the products of the source pieces in frequency space
-    before one inverse transform.  Each source piece is transformed once
-    per square, and so is each lag window, which depends only on the offset
-    between target and source piece; a source's transform is dropped once
-    every target has taken it, so a square cut short by the end of u holds
-    only its live targets.  Targets past the end of u, and lags past the
-    end of g, are dropped.
+    One square of the history convolution, by FFT, for every column of u.
+    Sources and targets are cut into pieces of at most _PIECE nodes, and
+    the columns into chunks of at most 2 * _PIECE // span, so a transform
+    (span = twice the piece) never holds more than one drive's largest;
+    each target piece accumulates the products of the source pieces in
+    frequency space before one inverse transform.  A source piece is
+    transformed once per chunk, and each lag window, which depends only on
+    the offset between target and source piece, once per square: in the
+    last chunk a window is dropped once no later source piece reads it.
+    Targets past the end of u, and lags past the end of g, are dropped.
     """
-    piece = min(size, piece)
+    piece = min(size, _PIECE)
     span = 2 * piece
-    n = u.shape[0]
+    n, p = u.shape
+    cols = max(1, 2 * _PIECE // span)
     targets = range(0, min(size, n - dst), piece)
-    acc = [0.0] * len(targets)
     windows = {}
-    for r0 in range(0, size, piece):
-        source = np.fft.fft(u[src + r0:src + r0 + piece], span, axis=0)
-        for i, q0 in enumerate(targets):
-            # lags of this pair run from base - piece + 1 to base + piece - 1
-            base = dst + q0 - src - r0
-            if base not in windows:
-                windows[base] = np.fft.fft(g[base - piece:base + piece],
-                                           span)[:, None]
-            acc[i] += source * windows[base]
-    for q0, total in zip(targets, acc):
-        top = min(dst + q0 + piece, n)
-        far = np.fft.ifft(total, axis=0)
-        u[dst + q0:top] += far[piece:piece + top - dst - q0]
+    for c0 in range(0, p, cols):
+        chunk = slice(c0, c0 + cols)
+        last = c0 + cols >= p
+        width = min(cols, p - c0)
+        source = np.empty((span, width), dtype=complex)
+        prod = np.empty_like(source)
+        acc = [None] * len(targets)
+        for r0 in range(0, size, piece):
+            np.fft.fft(u[src + r0:src + r0 + piece, chunk], span, axis=0,
+                       out=source)
+            for i, q0 in enumerate(targets):
+                # lags of this pair run from base - piece + 1 to
+                # base + piece - 1
+                base = dst + q0 - src - r0
+                if base not in windows:
+                    windows[base] = np.fft.fft(g[base - piece:base + piece],
+                                               span)[:, None]
+                if acc[i] is None:
+                    acc[i] = source * windows[base]
+                else:
+                    np.multiply(source, windows[base], out=prod)
+                    acc[i] += prod
+            if last:
+                # later source pieces sit further right, so their largest
+                # base is smaller than this one's
+                del windows[dst + targets[-1] - src - r0]
+        del source, prod
+        for q0, total in zip(targets, acc):
+            top = min(dst + q0 + piece, n)
+            np.fft.ifft(total, axis=0, out=total)
+            u[dst + q0:top, chunk] += total[piece:piece + top - dst - q0]
+        del acc
 
 
 def evolve(kern, eps_s, drive, grid):
@@ -182,7 +195,8 @@ def evolve(kern, eps_s, drive, grid):
     drive may also be a list of drives: they are solved together, sharing
     the lag samples, the block schedule and the FFT squares, and a list of
     traces comes back, one per drive.  Each agrees with its own one-drive
-    solve to roundoff (the batch uses shorter FFT pieces).
+    solve to roundoff (its history dots are matrix products, summed in
+    another order).
 
     kern must provide lag_samples(h, n_steps) covering the full span
     (KernelCoverage propagates from shorter caches).  Preconditions on the
@@ -221,23 +235,19 @@ def evolve(kern, eps_s, drive, grid):
     beta = 0.5 * ah * ah - ah
     kappa = 1.0 - ah
 
-    # exact accumulated phase of each drive's instantaneous level, a piece
-    # of nodes at a time
-    e = np.empty((n + 1, p), dtype=complex)
-    for j, d in enumerate(drives):
-        phi0 = d.modulation_integral(grid.t0)
-        for lo in range(0, n + 1, _PIECE):
-            t = grid.times(lo, lo + _PIECE)
-            phi = (eps_s + d.mean) * (t - grid.t0) \
-                + d.modulation_integral(t) - phi0
-            e[lo:lo + t.size, j] = np.exp(-1j * phi)     # u = e * w
+    # e = e^{-i Phi}, the exact accumulated phase of each drive's level
+    # (u = e * w), held for a window of whole blocks: nodes first + 1 ..
+    # first + span, rebuilt as the steps reach the next window
+    phi0 = [d.modulation_integral(grid.t0) for d in drives]
+    span = _BLOCK * max(1, _SLAB // (p * _BLOCK))
+    phi = np.empty((span, p))
+    e = np.empty((span, p), dtype=complex)
 
     # u[m] holds node m's history sum until u_m is written over it: first
     # the trapezoid's half-weight term of u_0 = 1, then the earlier blocks
     u = np.empty((n + 1, p), dtype=complex)
     u[0] = 1.0
     np.multiply(g[1:, None], 0.5, out=u[1:])
-    piece = _piece(p)
     # one drive steps on Python complex, which beats numpy's per-call cost
     one = p == 1
     step_u, step_e = (u[:, 0], e[:, 0]) if one else (u, e)
@@ -253,9 +263,18 @@ def evolve(kern, eps_s, drive, grid):
         c = start // _BLOCK
         if c:
             width = (c & -c) * _BLOCK
-            _add_far(u, g, start + 1 - width, start + 1, width, piece)
+            _add_far(u, g, start + 1 - width, start + 1, width)
+        if start % span == 0:
+            first = start
+            t = grid.times(first + 1, first + 1 + span)
+            dt = t - grid.t0
+            for j, d in enumerate(drives):
+                phi[:t.size, j] = (eps_s + d.mean) * dt \
+                    + d.modulation_integral(t) - phi0[j]
+            np.multiply(phi[:t.size], -1j, out=e[:t.size])
+            np.exp(e[:t.size], out=e[:t.size])
         stop = min(start + _BLOCK, n)
-        eb = step_e[start + 1:stop + 1]
+        eb = step_e[start - first:stop - first]
         cb = rows((0.5 * h * h) * eb.conj())
         eb = rows(eb)
         for i in range(stop - start):
@@ -267,11 +286,15 @@ def evolve(kern, eps_s, drive, grid):
             z = z_next
             step_u[start + 1 + i] = eb[i] * w
 
-    bad = ~np.isfinite(u).all(axis=1)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise StepTooLarge(
-            f"non-finite u at node {k} (t = {grid.times(k, k + 1)[0]:.6g})")
+    # a slab of rows at a time, so the scan holds no (N+1, P) mask
+    scan = max(1, _SLAB // p)
+    for lo in range(0, n + 1, scan):
+        bad = ~np.isfinite(u[lo:lo + scan]).all(axis=1)
+        if bad.any():
+            k = lo + int(np.argmax(bad))
+            raise StepTooLarge(
+                f"non-finite u at node {k} "
+                f"(t = {grid.times(k, k + 1)[0]:.6g})")
     traces = [PropagatorTrace(grid, u[:, j]) for j in range(p)]
     return traces if batched else traces[0]
 

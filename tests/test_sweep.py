@@ -255,13 +255,14 @@ def test_square_periods_split_by_aligned_step(tmp_path):
 
 
 @pytest.mark.parametrize("keys, workers, sizes", [
-    ([0] * 48, 2, [8] * 6),          # the benchmark grid on two cores
-    ([0] * 20, 2, [5] * 4),          # c09: three batches round up to four
+    ([0] * 48, 2, [24] * 2),         # the benchmark grid on two cores
+    ([0] * 20, 2, [10] * 2),         # c09: one batch rounds up to two
     ([0] * 4, 3, [2, 1, 1]),
     ([0] * 3, 8, [1, 1, 1]),         # never more batches than points
-    ([0] * 10 + [1] * 2, 1, [5, 5, 2]),
-    ([0] * 10 + [1] * 2, 2, [4, 3, 3, 2]),   # the widest run is cut
+    ([0] * 10 + [1] * 2, 1, [10, 2]),
+    ([0] * 10 + [1] * 2 + [2] * 3, 2, [5, 5, 2, 3]),  # the widest run is cut
     ([0, 1, 0], 1, [1, 1, 1]),       # equal keys must be neighbours
+    ([0] * 100, 2, [17] * 4 + [16] * 2),   # five full batches round up to six
 ])
 def test_batches_are_contiguous_and_balanced(keys, workers, sizes):
     batches = sweep._batches(keys, workers)
@@ -269,6 +270,8 @@ def test_batches_are_contiguous_and_balanced(keys, workers, sizes):
     assert batches[0].start == 0 and batches[-1].stop == len(keys)
     assert all(a.stop == b.start for a, b in zip(batches, batches[1:]))
     assert all(len(set(keys[b])) == 1 for b in batches)
+    assert all(b.stop - b.start <= sweep._BATCH for b in batches)
+    assert len(batches) % workers == 0 or len(batches) == len(keys)
 
 
 def test_progress_line_per_batch(tmp_path, capsys):

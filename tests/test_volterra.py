@@ -305,15 +305,15 @@ def test_batched_columns_match_single_solves_tabulated(kinked_two_band,
         _columns_match_singles(kern, drives, TimeGrid(0.0, h, n))
 
 
-def test_batch_of_five_fft_pieces_divide_the_squares():
-    # the batch's FFT piece must divide every square width; a piece of
-    # _PIECE // 5 would let the last source piece read unsolved nodes
-    piece = volterra._piece(5)
-    assert piece % _BLOCK == 0 and (piece // _BLOCK).bit_count() == 1
-    assert volterra._piece(1) == _PIECE
-    drives = _batch_drives("sine", (2.5, 2.0, 1.0, 0.0, -1.0))
+def test_wide_batches_match_single_solves():
+    # every width cuts its squares into the same _PIECE-node pieces, and
+    # walks the columns of the widest ones in chunks; at 3 _PIECE + 5 the
+    # second target piece of the widest square is cut short
     kern = SemicircleKernel(Semicircle(eta=1.0))
-    _columns_match_singles(kern, drives, TimeGrid(0.0, 0.01, 3 * _PIECE + 5))
+    grid = TimeGrid(0.0, 0.01, 3 * _PIECE + 5)
+    for p in (5, sweep._BATCH):
+        drives = _batch_drives("sine", [2.5 - 0.15 * j for j in range(p)])
+        _columns_match_singles(kern, drives, grid)
 
 
 def test_batched_convergence_check_matches_single():
@@ -334,13 +334,51 @@ def test_non_finite_value_in_a_batch_names_the_node():
         evolve(_NanLagKernel(5), 0.0, drives, TimeGrid(0.0, 0.01, 300))
 
 
+class _NanPhaseDrive(DrivingField):
+    """A sine drive whose level phase turns NaN from t = 59.995 on."""
+
+    def modulation_integral(self, t):
+        out = super().modulation_integral(t)
+        return np.where(np.asarray(t) >= 59.995, np.nan, out)
+
+
+def test_non_finite_value_past_the_first_scan_slab_names_the_node():
+    # the scan walks u a slab of rows at a time; node 6000 of a 3-wide
+    # batch lies in its second slab
+    drives = _batch_drives("sine", (2.5, 1.0))
+    drives.append(_NanPhaseDrive(mean=0.0, period=1.25, shape="sine",
+                                 amplitude=0.5))
+    kern = SemicircleKernel(Semicircle(eta=1.0))
+    with pytest.raises(StepTooLarge, match=r"node 6000 \(t = 60\)"):
+        evolve(kern, 0.0, drives, TimeGrid(0.0, 0.01, 7000))
+
+
 def test_batch_memory_stays_bounded(traced_peak):
-    # peak traced allocation of a _BATCH-wide solve at N = 10 000, lag
-    # samples included: measured 4.6 MB (numpy 2.4.6), of which the result
-    # and the phases are 1.3 MB each
-    drives = [DrivingField(mean=1.0, period=1.0 + j, shape="sine",
-                           amplitude=0.5) for j in range(sweep._BATCH)]
+    # traced peak of a solve at N = 10 000, less its result and its lag
+    # samples: the phase window, the far sums' transforms and the scan's
+    # slab, none of which grows with the width (measured 1.2 MB at both
+    # widths, numpy 2.4.6)
     kern = SemicircleKernel(Semicircle(eta=0.8))
     grid = TimeGrid(0.0, 0.01, 10_000)
-    _, peak = traced_peak(evolve, kern, 0.0, drives, grid)
-    assert peak <= 5.0e6, peak
+    for p in (8, sweep._BATCH):
+        drives = [DrivingField(mean=1.0, period=1.0 + j, shape="sine",
+                               amplitude=0.5) for j in range(p)]
+        _, peak = traced_peak(evolve, kern, 0.0, drives, grid)
+        result = (grid.n_steps + 1) * (p + 1) * 16
+        assert peak - result <= 1.5e6, (p, peak - result)
+
+
+def test_far_sum_memory_is_accumulators_plus_live_windows(traced_peak):
+    # one square 2^16 nodes wide on one column, cut into k = 16 pieces:
+    # k target accumulators, at most k live lag windows, and the source,
+    # its zero-padded copy and the product, each a transform of 2 _PIECE
+    # points; holding all 2k - 1 lag windows of the square would take
+    # 3k + 3
+    size = 1 << 16
+    rng = np.random.default_rng(0)
+    u = rng.standard_normal((2 * size + 1, 1)) + 0j
+    g = rng.standard_normal(2 * size + 1) + 0j
+    k = size // _PIECE
+    transform = 2 * _PIECE * 16
+    _, peak = traced_peak(volterra._add_far, u, g, 1, 1 + size, size)
+    assert peak <= (2 * k + 4) * transform, peak / transform
