@@ -10,8 +10,13 @@ F[j, b] = w_j e^{-i t_b x_j}: one complex matrix product and about
 two correctly rounded exponentials, so there is no recurrence and no drift.
 Short, scattered or non-uniform t fall back to the direct product.
 
-For bands where f vanishes like a square root at the edges, the angle path
-substitutes x = c - w cos(phi) and sums composite Gauss-Legendre panels.
+`angle_band_integral` is the one band quadrature.  It cuts a band at given
+break points (a table's kinks, a resonance) and substitutes
+x = c - w cos(phi) on each piece, which makes a square-root end analytic
+and puts every kink at a piece end, where the nodes cluster.
+Composite GL-16 panels start at about 16 rad of phase each, all pieces
+double together until two levels agree on a few probe times, and one
+`phase_sum` over every piece's nodes gives the result.
 """
 
 import numpy as np
@@ -122,31 +127,43 @@ def phase_sum(x, w, t):
     return out.reshape(tt.shape)
 
 
-def angle_band_integral(f, a, b, times, tol=1e-8):
-    """∫_a^b f(x) e^{-ixt} dx for bands where f vanishes like sqrt at the edges.
+def angle_band_integral(f, a, b, times, tol=1e-8, *, breaks=()):
+    """∫_a^b f(x) e^{-ixt} dx for f smooth between breaks, sqrt-like at ends.
 
-    Substituting x = c - w cos(phi) clusters nodes at the edges and turns a
-    sqrt-vanishing integrand into an analytic one, so composite Gauss-Legendre
-    panels converge spectrally.  The panel count scales with the phase range
-    w * max|t|; a doubling step guards the tolerance, and a band that
+    [a, b] is cut at the given break points (those strictly inside it), and
+    each piece [lo, hi] is substituted x = c - w cos(phi) with c its centre
+    and w its half width.  That clusters nodes at both ends of every piece,
+    turns a sqrt-vanishing end into an analytic one and leaves a kink at a
+    break (a table node, say) only at a piece end, so composite
+    Gauss-Legendre panels converge fast.  Each piece starts at
+    max(1, ceil(w max|t| / 8)) GL-16 panels, about 16 rad of phase each;
+    all pieces then double together until two successive levels agree on
+    a few probe times, and one phase sum over every piece's nodes gives the
+    result.  f is called once per level on all pieces' nodes.  A band that
     needs more than _MAX_NODES nodes raises QuadratureFailure.
     """
     t = np.atleast_1d(np.asarray(times, dtype=float))
     if t.size == 0:
         return np.empty(0, dtype=complex)
-    c = 0.5 * (a + b)
-    w = 0.5 * (b - a)
-    tmax = float(np.max(np.abs(t))) if t.size else 0.0
+    inner = np.asarray(breaks, dtype=float).ravel()
+    cuts = np.sort(np.concatenate(([a, b], inner[(inner > a) & (inner < b)])))
+    cuts = cuts[np.append(True, cuts[1:] != cuts[:-1])]
+    c = 0.5 * (cuts[1:] + cuts[:-1])
+    w = 0.5 * np.diff(cuts)
+    tmax = float(np.max(np.abs(t)))
+    # a piece spans 2 w max|t| rad of phase: about 16 rad per GL-16 panel
+    start = np.maximum(1, np.ceil(w * tmax / 8.0)).astype(int)
 
-    def nodes(n_panels):
-        edges = np.linspace(0.0, np.pi, n_panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1] - edges[0])
-        phi = (mid[:, None] + half * _GL16_X[None, :]).ravel()
-        wts = np.broadcast_to(half * _GL16_W, (n_panels, 16)).ravel()
-        x = c - w * np.cos(phi)
-        fx = np.asarray(f(x), dtype=complex) * (w * np.sin(phi)) * wts
-        return x, fx
+    def nodes(scale):
+        xs, ws = [], []
+        for ci, wi, n in zip(c, w, start * scale):
+            half = 0.5 * np.pi / n
+            mid = half * (2 * np.arange(n) + 1)
+            phi = (mid[:, None] + half * _GL16_X).ravel()
+            xs.append(ci - wi * np.cos(phi))
+            ws.append(wi * np.sin(phi) * np.tile(half * _GL16_W, n))
+        x = np.concatenate(xs)
+        return x, np.asarray(f(x), dtype=complex) * np.concatenate(ws)
 
     # nine spread times and the three largest |t|, sorted and deduplicated
     # (np.unique would import numpy.ma)
@@ -155,21 +172,20 @@ def angle_band_integral(f, a, b, times, tol=1e-8):
     probe = np.sort(np.concatenate([t[idx], t[order[-3:]]]))
     probe = probe[np.append(True, probe[1:] != probe[:-1])]
 
-    # ~2 pi phase per panel to start; GL-16 resolves that comfortably
-    n = max(16, int(np.ceil(0.5 * w * tmax)))
-    x, fx = nodes(n)
+    scale = 1
+    x, fx = nodes(scale)
     prev = phase_sum(x, fx, probe)
     while True:
-        n *= 2
-        x, fx = nodes(n)
+        scale *= 2
+        x, fx = nodes(scale)
         cur = phase_sum(x, fx, probe)
         err = np.max(np.abs(cur - prev))
-        scale = max(np.max(np.abs(cur)), 1.0)
-        if err <= tol * scale:
+        if err <= tol * max(np.max(np.abs(cur)), 1.0):
             break
-        if 16 * 2 * n > _MAX_NODES:
+        if 2 * x.size > _MAX_NODES:
             raise QuadratureFailure(
-                f"band integral not converged at {n} panels (err {err:.2e})")
+                f"band integral not converged at {x.size} nodes "
+                f"(err {err:.2e})")
         prev = cur
     result = phase_sum(x, fx, t)
     if np.isscalar(times) or np.ndim(times) == 0:

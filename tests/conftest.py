@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from drivenlevel import spectral
 from drivenlevel.oscquad import angle_band_integral
 from drivenlevel.spectral import Tabulated, eval_j
 
@@ -67,3 +68,28 @@ def traced_peak():
             tracemalloc.stop()
 
     return peak
+
+
+@pytest.fixture
+def band_nodes(monkeypatch):
+    """Node counts of the band integrals `spectral` runs from here on.
+
+    One list per `angle_band_integral` call, holding the size of every
+    node array its integrand is called on (the last is the final level),
+    counted by wrapping the integrand as the benchmark's tracer does.
+    """
+    calls = []
+    real = spectral.angle_band_integral
+
+    def counted(f, *args, **kwargs):
+        sizes = []
+        calls.append(sizes)
+
+        def g(x):
+            sizes.append(np.size(x))
+            return f(x)
+
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "angle_band_integral", counted)
+    return calls

@@ -1,3 +1,5 @@
+import inspect
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -46,6 +48,34 @@ def test_fourier_integral_budget_exhaustion(monkeypatch):
     f = lambda x: np.abs(x - 0.3)
     with pytest.raises(QuadratureFailure):
         angle_band_integral(f, -1.0, 1.0, np.array([5.0]), tol=1e-13)
+
+
+def test_breaks_split_the_band_at_a_kink():
+    # |x - 0.3| sqrt(1 - x^2) converges only algebraically on one piece;
+    # broken at the kink, each piece is analytic in its own angle
+    f = lambda x: np.abs(x - 0.3) * np.sqrt(np.maximum(1.0 - x * x, 0.0))
+    times = np.array([0.0, 1.0, 7.5, 40.0])
+    got = angle_band_integral(f, -1.0, 1.0, times, tol=1e-12, breaks=[0.3])
+    for t, g in zip(times, got):
+        want = sum(mp_phase_integral(
+            lambda x: abs(x - mp.mpf("0.3")) * mp.sqrt(1 - x * x),
+            a, b, mp.mpf(t)) for a, b in ((-1, mp.mpf("0.3")),
+                                          (mp.mpf("0.3"), 1)))
+        assert abs(g - want) < 1e-13
+    # break points outside the band, on its ends or repeated change nothing
+    again = angle_band_integral(f, -1.0, 1.0, times, tol=1e-12,
+                                breaks=(0.3, -1.0, 0.3, 1.0, 2.0, -5.0))
+    assert np.array_equal(again, got)
+
+
+def test_band_integral_layout_is_pinned():
+    # the benchmark tracer reads f and times positionally (times fourth)
+    # and wraps f to count nodes; breaks must never shift them
+    params = inspect.signature(angle_band_integral).parameters
+    assert list(params)[:4] == ["f", "a", "b", "times"]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD
+               for p in list(params.values())[:5])
+    assert params["breaks"].kind is inspect.Parameter.KEYWORD_ONLY
 
 
 def direct_phase_sum(x, w, t):
@@ -153,3 +183,24 @@ def test_u0_readme_run_matches_direct_path(monkeypatch):
     monkeypatch.setattr(oscquad, "_BLOCKED_MIN", t.size + 1)
     direct = spectral.compute_u0(sd, 2.5, t)
     assert rel_dev(fast, direct) <= 1e-12
+
+
+def test_u0_readme_run_frozen_and_node_count(band_nodes):
+    # values of the whole-band rule this quadrature replaced (one piece,
+    # 3200 -> 6400 nodes); now 800 -> 1600
+    sd = spectral.Semicircle(eta=1.0)
+    t = 0.01 * np.arange(20001)
+    u = spectral.compute_u0(sd, 2.5, t)
+    frozen = {
+        0: 1.0000000000000362 + 0j,
+        1: 0.9996375249212157 - 0.024996562643880373j,
+        250: 0.44692700070875574 - 0.6878622303121295j,
+        3333: -0.6245753567453969 - 0.5621837702642322j,
+        7919: -0.7986303377061447 + 0.26015940908446483j,
+        12500: -0.2912415372936603 + 0.7878921465588662j,
+        17321: 0.7902733074887848 + 0.2847817140770257j,
+        20000: -0.3085842946614102 - 0.781305507941138j,
+    }
+    for k, want in frozen.items():
+        assert abs(u[k] - want) <= 1e-13, k
+    assert len(band_nodes) == 1 and band_nodes[0][-1] <= 1600

@@ -366,6 +366,28 @@ def test_tabulated_shift_vectorized_matches_scalar(make):
     assert np.max(np.abs(bsf - bsf_scalar)) <= 1e-12 * np.max(bsf_scalar)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: make_tabulated(eta=0.9, n=301)[1], two_band_table])
+def test_tabulated_shift_matches_plain_cell_sum(make):
+    # the cell sum written plainly, one temporary per operation; the slab
+    # form in the package does the same arithmetic, so it must agree bit
+    # for bit, at table nodes too
+    sd = make()
+    eps = np.concatenate([np.linspace(-4.0, 4.0, 257), np.asarray(sd.grid)])
+    want = np.zeros(eps.size)
+    for lo, hi in sd.band:
+        x, jv = spectral._interval_nodes(sd, lo, hi)
+        b = np.diff(jv) / np.diff(x)
+        e = eps[:, None]
+        c = jv[:-1] + b * (e - x[:-1])
+        d = np.abs(e - x)
+        logs = np.where(d > 0.0, np.log(np.maximum(d, 1e-300)), 0.0)
+        want += (np.sum(c * (logs[:, :-1] - logs[:, 1:]), axis=1)
+                 - np.sum(b * np.diff(x)))
+    assert np.array_equal(spectral._delta_tabulated(sd, eps),
+                          want / (2.0 * np.pi))
+
+
 def test_tabulated_shift_chunks_agree(monkeypatch):
     sd = two_band_table()
     eps = np.linspace(-3.5, 3.5, 1001)
@@ -399,13 +421,74 @@ def cell_split_u0(sd, eps_on, t, order=64):
     return out
 
 
-def test_u0_tabulated_matches_cell_split_reference(kinked_two_band):
-    # the continuum weight has a kink at every table node
+def test_u0_tabulated_matches_cell_split_reference(kinked_two_band,
+                                                   band_nodes):
+    # the continuum weight has a kink at every table node; broken there,
+    # each band is 8 pieces of 1 -> 4 GL-16 panels
     t = 0.01 * np.arange(5001)
     got = compute_u0(kinked_two_band, 0.2, t)
+    assert [sizes[-1] for sizes in band_nodes] == [512, 512]
     want = cell_split_u0(kinked_two_band, 0.2, t)
     assert len(find_bound_states(kinked_two_band, 0.2)) == 1
-    assert np.max(np.abs(got - want)) <= 1e-8
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_sum_rule_continuum_of_a_kinked_band(monkeypatch):
+    # two_band_table at 0.2 has no resonance in [1, 3], so that band's
+    # continuum is one integral broken at the nodes 1.4 and 2.2; the
+    # whole-band doubling once stopped 2.0e-9 off here.  The sum rule's
+    # tolerance is 1e-10 and the pieces converge about 16x a doubling, so
+    # its stop is good to about 1e-11 (2.5e-12 here)
+    sd = two_band_table()
+    parts = {}
+    real = spectral.angle_band_integral
+
+    def spy(f, a, b, times, *args, **kwargs):
+        parts[a, b] = real(f, a, b, times, *args, **kwargs)
+        return parts[a, b]
+
+    monkeypatch.setattr(spectral, "angle_band_integral", spy)
+    spectrum(sd, 0.2)
+    assert list(parts) == [(-3.0, -1.0), (1.0, 3.0)]
+    # node-split Gauss-Legendre-64 reference, 256 panels a cell
+    glx, glw = np.polynomial.legendre.leggauss(64)
+    edges = np.concatenate([np.linspace(a, b, 257)[:-1]
+                            for a, b in ((1.0, 1.4), (1.4, 2.2), (2.2, 3.0))]
+                           + [[3.0]])
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    x = (mid[:, None] + half[:, None] * glx).ravel()
+    want = band_spectral_function(sd, 0.2, x) @ (half[:, None] * glw).ravel()
+    assert abs(parts[1.0, 3.0] - want) <= 1e-11
+
+
+def test_table_breaks_are_thinned_table_nodes():
+    (lo, hi), = Semicircle(eta=1.0).band
+    assert spectral._table_breaks(Semicircle(eta=1.0), lo, hi).size == 0
+    sd = two_band_table()
+    assert list(spectral._table_breaks(sd, 1.0, 3.0)) == [1.4, 2.2]
+    # a dense table keeps at most _MAX_PIECES - 1 of its nodes, crowded
+    # toward the edges
+    _, tab = make_tabulated(n=4001)
+    breaks = spectral._table_breaks(tab, lo, hi)
+    assert breaks.size == spectral._MAX_PIECES - 1
+    assert np.all(np.isin(breaks, tab.grid))
+    assert np.all((breaks > lo) & (breaks < hi))
+    assert np.all(np.diff(breaks) > 0.0)
+    gaps = np.diff(np.concatenate(([lo], breaks, [hi])))
+    assert gaps[0] < gaps[len(gaps) // 2] / 10
+
+
+def test_u0_dense_table_node_count(band_nodes):
+    # 4000 cells: the band is broken into _MAX_PIECES pieces, not one a
+    # cell, and the kinks left inside them cost extra doublings
+    sc, tab = make_tabulated(n=4001)
+    t = 0.01 * np.arange(5001)
+    u = compute_u0(tab, 2.5, t)
+    (sizes,) = band_nodes
+    assert sizes[0] == 16 * spectral._MAX_PIECES
+    assert sizes[-1] <= 8192
+    # the table itself is 1e-4 from the semicircle it samples
+    assert np.max(np.abs(u - compute_u0(sc, 2.5, t))) <= 2e-4
 
 
 @pytest.mark.parametrize("bad", [2.0, np.nan])
