@@ -460,9 +460,10 @@ def compute_u0(sd, eps_on, times):
         # only between its nodes (its shift has an (x - x_k) log|x - x_k|
         # kink at each), so the band is broken there and every kink sits
         # at a piece end, where the substitution clusters the nodes.  The
-        # doubling then converges geometrically, and its stop is to be
-        # trusted; on one whole-band piece it was not (a 9-node table
-        # stopped 6.7e-10 off at 12 800 nodes a band, now 8e-15 at 512)
+        # doubling then converges geometrically, so two agreeing levels
+        # mean a converged integral.  A dense table keeps _MAX_PIECES
+        # pieces; the weak kinks left inside them converge algebraically
+        # and cost extra doublings
         out += (angle_band_integral(f, lo, hi, times, tol=U0_TOL,
                                     breaks=_table_breaks(sd, lo, hi))
                 / (2.0 * np.pi))
