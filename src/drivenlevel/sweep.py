@@ -215,16 +215,13 @@ def _batch_key(cfg, index, point):
 def _batches(keys, workers):
     """Cut positions 0..len(keys)-1 into slices of contiguous equal keys.
 
-    Each slice holds at most min(_BATCH, ceil(points / workers)) points,
-    so no batch is more than one worker's fair share.  Runs of equal keys
-    are then cut further, the run with the largest batches first, until
-    the number of batches is a multiple of workers (or every point is a
-    batch of its own).  The pool hands batches out in order, so no
-    worker's share exceeds ceil(points / workers) plus one batch.
+    Each slice holds at most _BATCH points.  Runs of equal keys are cut
+    further, the run with the largest batches first, until the number of
+    batches is a multiple of workers (or every point is a batch of its
+    own), so the pool's workers get equal shares.
     """
     lengths = [sum(1 for _ in grp) for _, grp in itertools.groupby(keys)]
-    size = min(_BATCH, -(-len(keys) // workers))
-    counts = [-(-n // size) for n in lengths]
+    counts = [-(-n // _BATCH) for n in lengths]
     want = min(-(-sum(counts) // workers) * workers, len(keys))
     while sum(counts) < want:
         j = max(range(len(lengths)), key=lambda j: -(-lengths[j] // counts[j]))

@@ -480,13 +480,19 @@ def test_table_breaks_are_thinned_table_nodes():
 
 def test_u0_dense_table_node_count(band_nodes):
     # 4000 cells: the band is broken into _MAX_PIECES pieces, not one a
-    # cell, and the kinks left inside them cost extra doublings
+    # cell, and the kinks left inside them cost extra doublings.  The
+    # whole-band rule took 3200 nodes here, but only because two levels
+    # happened to agree (9.1e-9 apart, stop at 1.01e-8); no break choice
+    # tried converges that early
     sc, tab = make_tabulated(n=4001)
     t = 0.01 * np.arange(5001)
     u = compute_u0(tab, 2.5, t)
     (sizes,) = band_nodes
     assert sizes[0] == 16 * spectral._MAX_PIECES
     assert sizes[-1] <= 8192
+    # split at every node, order-8 panels are good to about 1e-14 here
+    assert (np.max(np.abs(u - cell_split_u0(tab, 2.5, t, order=8)))
+            <= spectral.U0_TOL)
     # the table itself is 1e-4 from the semicircle it samples
     assert np.max(np.abs(u - compute_u0(sc, 2.5, t))) <= 2e-4
 
