@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import oscquad
 from .errors import ConfigError, DrivenLevelError
 from .spectral import eval_j
 # compare is the solver's own, offered here for oracle-vs-solver checks
@@ -48,8 +49,6 @@ from .volterra import PropagatorTrace, compare
 # |psi|^2 drift allowed at the end of a run: the README run (2000 modes,
 # 20 000 steps) drifts by 8e-13, so this leaves three decades of headroom
 NORM_SLACK = 1e-9
-# steps whose kick and read factors are held at once, as Python complex
-_CHUNK_STEPS = 4096
 # chain sites kept beyond the light cone b_max * span (chain_hamiltonian).
 # Against the whole star on the README run (2000 modes, t = 200) a margin of
 # 10 / 20 / 30 / 50 misses by 5.7e-5 / 1.3e-8 / 5.4e-13 / 2.4e-13; 20 also
@@ -187,8 +186,9 @@ def propagate(model, drive, grid):
     psi = q.astype(complex)               # e0 in the eigenbasis
     u = np.empty(n + 1, dtype=complex)
     u[0] = q @ psi
-    for lo in range(0, n, _CHUNK_STEPS):
-        opening, kicks, reads = _kicks(drive, grid, lo, lo + _CHUNK_STEPS)
+    chunk = oscquad._SLAB // 4
+    for lo in range(0, n, chunk):
+        opening, kicks, reads = _kicks(drive, grid, lo, lo + chunk)
         if lo == 0:
             psi += (np.exp(-1j * opening) - 1.0) * u[0] * q
         for k in range(len(reads)):

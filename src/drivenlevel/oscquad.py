@@ -23,9 +23,9 @@ import numpy as np
 
 from .errors import QuadratureFailure
 
-# elements per temporary complex slab (256 KB): bounds the working memory of
-# every phase sum, of the tabulated lag cache's chunks, of the tabulated
-# shift in `spectral` and of `evolve`'s phase window and final scan
+# elements per temporary complex slab (256 KB), the one working-memory size;
+# every streaming layer reads it when it runs.  Far-sum FFT pieces and
+# oracle chunks are _SLAB // 4 long, trace and SVG chunks _SLAB // 8
 _SLAB = 1 << 14
 # below this many times the blocked split saves too little to pay off
 _BLOCKED_MIN = 64

@@ -188,31 +188,53 @@ def _interval_nodes(sd, lo, hi):
     return nodes, eval_j(sd, nodes)
 
 
+def _excess(s):
+    """(1 + s) log1p(s) - s for s > -1, to full relative precision: by its
+    series s^2 sum_m (-s)^m / ((m + 1)(m + 2)) where |s| < 0.1, where the
+    two terms would cancel."""
+    out = (1.0 + s) * np.log1p(s) - s
+    small = np.abs(s) < 0.1
+    if small.any():
+        x = s[small]
+        acc = np.zeros_like(x)
+        for m in range(15, -1, -1):
+            acc = acc * -x + 1.0 / ((m + 1) * (m + 2))
+        out[small] = x * x * acc
+    return out
+
+
 def _delta_tabulated(sd, eps):
     """PV transform (1/2pi) P int J(e')/(eps - e') de', exactly (vectorized).
 
     A tabulated J is piecewise linear, and the Hilbert transform of a
     linear cell is elementary: with slope b and value c at eps (the cell's
     own linear extension), the cell [x0, x1] contributes
-    c*log|eps - x0| - c*log|eps - x1| - b*(x1 - x0).  Summed over cells the
-    log coefficients telescope to the jump in c across each node, which
-    vanishes linearly where J is continuous, so the formula is the
-    principal value everywhere and stays finite right through the band.
+    c*log|eps - x0| - c*log|eps - x1| - b*(x1 - x0).  Inside a band the
+    log coefficients, summed over cells, telescope to the jump in c across
+    each node, which vanishes linearly where J is continuous, so the
+    formula is the principal value everywhere and stays finite right
+    through the band.  Off a band no cell holds eps, and each log ratio
+    would cancel against its -b*(x1 - x0); there, with d = eps - x1 and
+    s = (x1 - x0)/d, the cell is J(x0)*log1p(s) + b*d*((1 + s) log1p(s) - s),
+    which keeps full relative precision however far eps lies.
     A scalar eps gives a float, an array an array of its shape.
     """
     eps = np.asarray(eps, dtype=float)
-    flat = eps.reshape(-1, 1)
-    total = np.zeros(flat.shape[0])
+    flat = eps.ravel()
+    total = np.zeros(flat.size)
     for lo, hi in sd.band:
         x, jv = _interval_nodes(sd, lo, hi)
         dx = np.diff(x)
         b = np.diff(jv) / dx
         shift = np.sum(b * dx)
         step = max(1, oscquad._SLAB // x.size)
+        inside = (flat >= lo) & (flat <= hi)
         # every product is formed in place in its own slab: this sum is what
         # a dense table's u0 spends its time on, one row per quadrature node
-        for i in range(0, flat.shape[0], step):
-            d = flat[i:i + step] - x
+        rows = np.flatnonzero(inside)
+        for i in range(0, rows.size, step):
+            r = rows[i:i + step]
+            d = flat[r, None] - x
             c = b * d[:, :-1]
             c += jv[:-1]
             logs = np.abs(d)
@@ -222,7 +244,14 @@ def _delta_tabulated(sd, eps):
             np.log(logs, out=logs)
             logs[at_node] = 0.0
             c *= logs[:, :-1] - logs[:, 1:]
-            total[i:i + step] += np.sum(c, axis=1) - shift
+            total[r] += np.sum(c, axis=1) - shift
+        rows = np.flatnonzero(~inside)
+        for i in range(0, rows.size, step):
+            r = rows[i:i + step]
+            d = flat[r, None] - x[1:]
+            s = dx / d
+            total[r] += np.sum(jv[:-1] * np.log1p(s) + b * d * _excess(s),
+                               axis=1)
     total /= 2.0 * np.pi
     if eps.ndim == 0:
         return float(total[0])
@@ -353,7 +382,7 @@ def find_bound_states(sd, eps_on):
         return [BoundState(float(eps_on), 1.0)]
 
     def phi(e):
-        return e - eps_on - (self_energy(sd, e).delta)
+        return e - eps_on - _delta(sd, e)
 
     reach = math.sqrt(total_weight(sd)) + 1.0
     roots = []
@@ -389,7 +418,7 @@ def _band_resonances(sd, eps_on):
     for lo, hi in sd.band:
         grid = np.linspace(lo + EDGE_COLLAR, hi - EDGE_COLLAR, 513)
         vals = grid - eps_on - _delta(sd, grid)
-        f = lambda e: e - eps_on - self_energy(sd, e).delta
+        f = lambda e: e - eps_on - _delta(sd, e)
         for i in np.nonzero(np.diff(np.sign(vals)) != 0)[0]:
             pts.append(_bisect(f, grid[i], grid[i + 1], 1e-10))
     return pts

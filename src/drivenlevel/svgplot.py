@@ -6,11 +6,11 @@ with nice ticks, labels and an optional legend.
 
 import numpy as np
 
+from . import oscquad
+
 _COLORS = ("#1f5fa8", "#c44e52", "#2a8a5c", "#8172b2", "#937860")
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64.0, 16.0, 28.0, 46.0
 _WIDTH, _HEIGHT = 720, 440
-# points formatted per write; bounds the text held in memory at once
-_CHUNK_POINTS = 2048
 
 
 def _nice_ticks(lo, hi, target=6):
@@ -40,8 +40,9 @@ def _fmt_tick(v):
 def _drawn(x, y):
     """The points a polyline draws, finite in both coordinates, a chunk of
     points at a time."""
-    for lo in range(0, x.size, _CHUNK_POINTS):
-        xc, yc = x[lo:lo + _CHUNK_POINTS], y[lo:lo + _CHUNK_POINTS]
+    chunk = oscquad._SLAB // 8
+    for lo in range(0, x.size, chunk):
+        xc, yc = x[lo:lo + chunk], y[lo:lo + chunk]
         keep = np.isfinite(xc) & np.isfinite(yc)
         yield xc[keep], yc[keep]
 

@@ -12,13 +12,11 @@ import os
 
 import numpy as np
 
+from . import oscquad
 from .errors import ConfigError
 
 FORMAT_NAME = "drivenlevel-trace"
 FORMAT_VERSION = 1
-# rows formatted per write; bounds the text and the columns held in memory
-# at once
-_CHUNK_ROWS = 2048
 
 
 def write_atomic(path, write_fn):
@@ -74,8 +72,9 @@ def write_trace(path, trace, config, extra_columns=None):
         fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
         csv.writer(fh).writerow(["t", "re_u", "im_u", "abs_u"] + list(extras))
         # every column a block of rows at a time, times and |u| included
-        for lo in range(0, grid.n_steps + 1, _CHUNK_ROWS):
-            hi = lo + _CHUNK_ROWS
+        rows = oscquad._SLAB // 8
+        for lo in range(0, grid.n_steps + 1, rows):
+            hi = lo + rows
             uc = u[lo:hi]
             block = np.column_stack(
                 [grid.times(lo, hi), uc.real, uc.imag, np.abs(uc)]

@@ -21,9 +21,9 @@ Nodes fall into blocks of _BLOCK; the nodes of a step's own block are summed
 directly, one short dot per step.  When block c-1 is complete, with L the
 lowest set bit of c, blocks [c-L, c) are added to the history of blocks
 [c, c+L) by FFT, so each pair of blocks is covered exactly once and the cost
-is O(N log^2 N) instead of O(N^2).  To bound memory no transform exceeds
-2 * _PIECE points, so a square wider than _PIECE is summed as
-(width / _PIECE)^2 piece pairs (at most 16 x 16 at N = 10^5).  The
+is O(N log^2 N) instead of O(N^2).  To bound memory a piece holds at most
+oscquad._SLAB // 4 nodes (4096 at the default), so a wider square is
+summed as (width / piece)^2 piece pairs (at most 16 x 16 at N = 10^5).  The
 schedule depends only on N, so results are deterministic (same input, same
 bits); they agree with the direct O(N^2) sum to roundoff, not bit for bit.
 
@@ -42,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import oscquad
 from .errors import GridMismatch, StepTooLarge
-from .oscquad import _SLAB
 
 MAX_PHASE_PER_STEP = 0.1    # h * max|eps_s + eps_d| must stay below this
 MIN_STEPS_PER_PERIOD = 40
@@ -51,8 +51,6 @@ _ALIGN_ATOL = 1e-9
 # history nodes summed directly per step; earlier blocks come in by FFT.
 # Dots this short never start OpenBLAS threads.
 _BLOCK = 64
-# longest source or target piece of one FFT square (transforms of 2 * _PIECE)
-_PIECE = 4096
 
 
 @dataclass(frozen=True)
@@ -139,20 +137,20 @@ def _add_far(u, g, src, dst, size):
     """u[dst + q] += sum_r g[dst - src + q - r] u[src + r], q, r < size.
 
     One square of the history convolution, by FFT, for every column of u.
-    Sources and targets are cut into pieces of at most _PIECE nodes, and
-    the columns into chunks of at most 2 * _PIECE // span, so a transform
-    (span = twice the piece) never holds more than one drive's largest;
-    each target piece accumulates the products of the source pieces in
-    frequency space before one inverse transform.  A source piece is
-    transformed once per chunk, and each lag window, which depends only on
-    the offset between target and source piece, once per square: in the
+    Sources and targets are cut into pieces of at most _SLAB // 4 nodes,
+    and the columns into chunks of at most _SLAB // 2 // span, so a
+    transform (span = twice the piece) never holds more than one drive's
+    largest; each target piece accumulates the products of the source
+    pieces in frequency space before one inverse transform.  A source piece
+    is transformed once per chunk, and each lag window, which depends only
+    on the offset between target and source piece, once per square: in the
     last chunk a window is dropped once no later source piece reads it.
     Targets past the end of u, and lags past the end of g, are dropped.
     """
-    piece = min(size, _PIECE)
+    piece = min(size, oscquad._SLAB // 4)
     span = 2 * piece
     n, p = u.shape
-    cols = max(1, 2 * _PIECE // span)
+    cols = max(1, oscquad._SLAB // 2 // span)
     targets = range(0, min(size, n - dst), piece)
     windows = {}
     for c0 in range(0, p, cols):
@@ -239,7 +237,7 @@ def evolve(kern, eps_s, drive, grid):
     # (u = e * w), held for a window of whole blocks: nodes first + 1 ..
     # first + span, rebuilt as the steps reach the next window
     phi0 = [d.modulation_integral(grid.t0) for d in drives]
-    span = _BLOCK * max(1, _SLAB // (p * _BLOCK))
+    span = _BLOCK * max(1, oscquad._SLAB // (p * _BLOCK))
     phi = np.empty((span, p))
     e = np.empty((span, p), dtype=complex)
 
@@ -287,7 +285,7 @@ def evolve(kern, eps_s, drive, grid):
             step_u[start + 1 + i] = eb[i] * w
 
     # a slab of rows at a time, so the scan holds no (N+1, P) mask
-    scan = max(1, _SLAB // p)
+    scan = max(1, oscquad._SLAB // p)
     for lo in range(0, n + 1, scan):
         bad = ~np.isfinite(u[lo:lo + scan]).all(axis=1)
         if bad.any():

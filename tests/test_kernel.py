@@ -151,11 +151,13 @@ def test_tabulated_cache_chunks_agree(kinked_two_band, monkeypatch):
 
 
 def test_tabulated_cache_memory_is_cache_plus_chunk(kinked_two_band,
-                                                    traced_peak):
-    kern, peak = traced_peak(QuadratureKernel, kinked_two_band, 0.01,
-                             2000.0)
-    assert kern.cache.size == 200_001
-    assert peak <= kern.cache.nbytes + 2e6, peak - kern.cache.nbytes
+                                                    traced_peak, monkeypatch):
+    # under a 2^10-element slab, 1/16 of the default, the cache and the
+    # allowed working memory are 1/16 of the default's 200 001 lags and 2 MB
+    monkeypatch.setattr(oscquad, "_SLAB", 1 << 10)
+    kern, peak = traced_peak(QuadratureKernel, kinked_two_band, 0.01, 125.0)
+    assert kern.cache.size == 12_501
+    assert peak <= kern.cache.nbytes + 2e6 / 16, peak - kern.cache.nbytes
 
 
 def test_lag_coverage_errors(kinked_two_band):

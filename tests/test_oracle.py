@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from drivenlevel import oracle
+from drivenlevel import oracle, oscquad
 from drivenlevel.driving import DrivingField
 from drivenlevel.errors import ConfigError, DrivenLevelError, GridMismatch
 from drivenlevel.kernel import SemicircleKernel
@@ -166,29 +166,32 @@ def test_unitarity_long_run():
 
 
 def test_propagate_chunks_agree(monkeypatch):
-    # kick and read factors come a chunk of steps at a time; a chunk of 7
-    # steps puts boundaries everywhere, and a factor taken from the wrong
-    # step would move u far beyond roundoff
+    # kick and read factors come a chunk of _SLAB // 4 steps at a time; a
+    # chunk of 7 steps puts boundaries everywhere, and a factor taken from
+    # the wrong step would move u far beyond roundoff
     model = oracle.discretize(Semicircle(eta=1.0), 301)
     drive = DrivingField(mean=2.5, period=1.25, shape="sine", amplitude=0.5)
     grid = TimeGrid(0.0, 0.01, 1000)
     whole = oracle.propagate(model, drive, grid)
-    monkeypatch.setattr(oracle, "_CHUNK_STEPS", 7)
+    monkeypatch.setattr(oscquad, "_SLAB", 4 * 7)
     chunked = oracle.propagate(model, drive, grid)
     assert np.max(np.abs(chunked.values - whole.values)) <= 1e-14
 
 
-def test_propagate_memory_does_not_grow_with_steps(traced_peak):
-    # the same span in 2000 and in 20 000 steps: the same chain, so beyond
-    # the result the working memory must not grow with the step count
-    model = oracle.discretize(Semicircle(eta=1.0), 2000)
+def test_propagate_memory_does_not_grow_with_steps(traced_peak, monkeypatch):
+    # the same span in 125 and in 1250 steps: the same chain, so beyond the
+    # result the working memory must not grow with the step count.  Under a
+    # 2^10-element slab a chunk is 256 steps, so the counts and the allowed
+    # growth are 1/16 of the default's 2000, 20 000 and 0.5 MB
+    monkeypatch.setattr(oscquad, "_SLAB", 1 << 10)
+    model = oracle.discretize(Semicircle(eta=1.0), 301)
     drive = DrivingField(mean=2.5, period=1.25, shape="sine", amplitude=0.5)
     above = []
-    for n in (2000, 20_000):
+    for n in (125, 1250):
         tr, peak = traced_peak(oracle.propagate, model, drive,
-                               TimeGrid(0.0, 200.0 / n, n))
+                               TimeGrid(0.0, 12.5 / n, n))
         above.append(peak - tr.values.nbytes)
-    assert above[1] <= above[0] + 0.5e6, above
+    assert above[1] <= above[0] + 0.5e6 / 16, above
 
 
 def test_static_late_amplitude_is_residue():

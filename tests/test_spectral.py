@@ -369,23 +369,58 @@ def test_tabulated_shift_vectorized_matches_scalar(make):
 @pytest.mark.parametrize("make", [
     lambda: make_tabulated(eta=0.9, n=301)[1], two_band_table])
 def test_tabulated_shift_matches_plain_cell_sum(make):
-    # the cell sum written plainly, one temporary per operation; the slab
-    # form in the package does the same arithmetic, so it must agree bit
-    # for bit, at table nodes too
+    # the cell sum written plainly, one temporary per operation: the
+    # telescoped log form for points in a band, the log1p form off it.
+    # The slab form in the package does the same arithmetic on each point,
+    # so it must agree bit for bit, at table nodes and band edges too
     sd = make()
     eps = np.concatenate([np.linspace(-4.0, 4.0, 257), np.asarray(sd.grid)])
     want = np.zeros(eps.size)
     for lo, hi in sd.band:
         x, jv = spectral._interval_nodes(sd, lo, hi)
-        b = np.diff(jv) / np.diff(x)
+        dx = np.diff(x)
+        b = np.diff(jv) / dx
         e = eps[:, None]
         c = jv[:-1] + b * (e - x[:-1])
         d = np.abs(e - x)
         logs = np.where(d > 0.0, np.log(np.maximum(d, 1e-300)), 0.0)
-        want += (np.sum(c * (logs[:, :-1] - logs[:, 1:]), axis=1)
-                 - np.sum(b * np.diff(x)))
+        inside = (np.sum(c * (logs[:, :-1] - logs[:, 1:]), axis=1)
+                  - np.sum(b * dx))
+        d1 = e - x[1:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = dx / d1
+            outside = np.sum(jv[:-1] * np.log1p(s)
+                             + b * d1 * spectral._excess(s), axis=1)
+        want += np.where((eps >= lo) & (eps <= hi), inside, outside)
     assert np.array_equal(spectral._delta_tabulated(sd, eps),
                           want / (2.0 * np.pi))
+
+
+def _tabulated_shift_mp(sd, eps):
+    """40-digit tabulated shift, the cell sum taken cell by cell."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        e = mp.mpf(eps)
+        total = mp.mpf(0)
+        for lo, hi in sd.band:
+            x, jv = spectral._interval_nodes(sd, lo, hi)
+            for x0, x1, j0, j1 in zip(x[:-1], x[1:], jv[:-1], jv[1:]):
+                x0, x1, j0, j1 = map(mp.mpf, (x0, x1, j0, j1))
+                b = (j1 - j0) / (x1 - x0)
+                c = j0 + b * (e - x0)
+                total += c * mp.log(abs((e - x0) / (e - x1))) - b * (x1 - x0)
+        return float(total / (2 * mp.pi))
+
+
+def test_tabulated_shift_far_from_the_band():
+    # each cell's log ratio cancels against its slope term far off the
+    # band (the telescoped form was 6.8e-14 / 3.6e-11 / 8.2e-7 off at
+    # 10 / 100 / 1e4); just off an edge the shift keeps full precision too
+    _, tab = make_tabulated(n=4001)
+    for eps in (10.0, 100.0, 1e4, -30.0, 2.1, -2.0000001):
+        want = _tabulated_shift_mp(tab, eps)
+        assert spectral._delta_tabulated(tab, eps) == pytest.approx(
+            want, rel=1e-14, abs=0.0), eps
 
 
 def test_tabulated_shift_chunks_agree(monkeypatch):

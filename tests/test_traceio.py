@@ -5,10 +5,11 @@ import re
 import numpy as np
 import pytest
 
+from drivenlevel import oscquad
 from drivenlevel.errors import ConfigError
 from drivenlevel.svgplot import line_plot
-from drivenlevel.traceio import (FORMAT_NAME, FORMAT_VERSION, _CHUNK_ROWS,
-                                 read_trace, write_trace)
+from drivenlevel.traceio import (FORMAT_NAME, FORMAT_VERSION, read_trace,
+                                 write_trace)
 from drivenlevel.volterra import PropagatorTrace, TimeGrid
 
 
@@ -62,10 +63,12 @@ def _write_trace_csv_writer(path, trace, config, extra_columns=None):
 
 
 @pytest.mark.parametrize("with_extras", [False, True])
-def test_write_matches_csv_writer_bytes(tmp_path, with_extras):
+def test_write_matches_csv_writer_bytes(tmp_path, monkeypatch, with_extras):
     # more rows than one write chunk (the block template is built per
-    # chunk, the last one short), with values whose text is unusual
-    grid = TimeGrid(-3.0, 1e-3, 2 * _CHUNK_ROWS + 7)
+    # chunk, the last one short), with values whose text is unusual; a
+    # 64-element slab writes 8 rows a chunk
+    monkeypatch.setattr(oscquad, "_SLAB", 64)
+    grid = TimeGrid(-3.0, 1e-3, 2 * 8 + 7)
     t = grid.times()
     u = np.exp(-1j * 1.7 * t) * np.exp(-0.03 * t)
     # signed zeros, subnormals, huge values, non-finite values and values
@@ -160,6 +163,13 @@ def test_svg_limits_come_from_drawn_points(tmp_path):
         line_plot(path, [(x, np.full_like(x, np.nan), "")])
 
 
+# the writers' memory tests run under a slab of 2^10 elements, 1/16 of the
+# default: rows and points come 128 a chunk, and the row counts and the
+# allowed growth are 1/16 of what they would be at the default
+SMALL_SLAB = 1 << 10
+SMALL_ROWS = (1250, 6250)
+
+
 def _peak_per_rows(traced_peak, write, rows):
     """write's traced peak for each row count; its arrays are built first."""
     peaks = []
@@ -171,21 +181,24 @@ def _peak_per_rows(traced_peak, write, rows):
     return peaks
 
 
-def test_trace_writer_memory_does_not_grow(tmp_path, traced_peak):
+def test_trace_writer_memory_does_not_grow(tmp_path, traced_peak,
+                                           monkeypatch):
     def write(grid, t, u, a):
         write_trace(tmp_path / "t.csv", PropagatorTrace(grid, u), {},
                     extra_columns={"abs_u0": a})
 
-    small, large = _peak_per_rows(traced_peak, write, (20_000, 100_000))
-    assert large <= small + 64_000, (small, large)
+    monkeypatch.setattr(oscquad, "_SLAB", SMALL_SLAB)
+    small, large = _peak_per_rows(traced_peak, write, SMALL_ROWS)
+    assert large <= small + 4_000, (small, large)
 
 
-def test_svg_writer_memory_does_not_grow(tmp_path, traced_peak):
+def test_svg_writer_memory_does_not_grow(tmp_path, traced_peak, monkeypatch):
     def write(grid, t, u, a):
         line_plot(tmp_path / "p.svg", [(t, a, "|u|")])
 
-    small, large = _peak_per_rows(traced_peak, write, (20_000, 100_000))
-    assert large <= small + 64_000, (small, large)
+    monkeypatch.setattr(oscquad, "_SLAB", SMALL_SLAB)
+    small, large = _peak_per_rows(traced_peak, write, SMALL_ROWS)
+    assert large <= small + 4_000, (small, large)
 
 
 def _polyline_points_per_point(curves):

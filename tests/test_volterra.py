@@ -3,12 +3,12 @@ import functools
 import numpy as np
 import pytest
 
-from drivenlevel import sweep, volterra
+from drivenlevel import oscquad, sweep, volterra
 from drivenlevel.driving import DrivingField
 from drivenlevel.errors import GridMismatch, StepTooLarge
 from drivenlevel.kernel import QuadratureKernel, SemicircleKernel, kernel_for
 from drivenlevel.spectral import Semicircle, compute_u0
-from drivenlevel.volterra import (_BLOCK, _PIECE, PropagatorTrace, TimeGrid,
+from drivenlevel.volterra import (_BLOCK, PropagatorTrace, TimeGrid,
                                   _check_preconditions, aligned_grid, compare,
                                   convergence_check, evolve)
 
@@ -50,13 +50,23 @@ def _evolve_direct(kern, eps_s, drive, grid):
     return PropagatorTrace(grid, u)
 
 
-# node counts around the block schedule: single steps, block edges, the
-# doubling squares, squares two FFT pieces wide (2 _PIECE nodes), and grids
-# that end inside their largest square (at 47 B + 5 the square of width 32 B
-# reaches 64 B; at 3 _PIECE + 5 the second target piece is cut short)
+# the tests that cut squares into FFT pieces run under a slab of 2^9
+# elements, so a piece holds PIECE = _SLAB // 4 = 128 nodes (4096 at the
+# default slab) and every piece path runs at a few hundred nodes
+SLAB = 1 << 9
+PIECE = SLAB // 4
+# node counts around the block schedule: single steps, block edges, squares
+# two FFT pieces wide (2 PIECE nodes), the doubling squares, and grids that
+# end inside their largest square (at 3 PIECE + 5 the second target piece
+# is cut short; at 47 B + 5 the square of width 32 B reaches 64 B)
 SCHEDULE_NS = [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK,
-               8 * _BLOCK - 1, 8 * _BLOCK + 1, 47 * _BLOCK + 5,
-               2 * _PIECE - 1, 2 * _PIECE + 1, 3 * _PIECE + 5]
+               2 * PIECE - 1, 2 * PIECE + 1, 3 * PIECE + 5,
+               8 * _BLOCK - 1, 8 * _BLOCK + 1, 47 * _BLOCK + 5]
+
+
+@pytest.fixture
+def small_slab(monkeypatch):
+    monkeypatch.setattr(oscquad, "_SLAB", SLAB)
 
 
 def semicircle_setup(eta=1.0, mean=2.5, shape="sine", amplitude=0.5,
@@ -221,7 +231,7 @@ def _rel_dev(a, b):
 
 
 @pytest.mark.parametrize("shape", ["sine", "square"])
-def test_blocked_history_matches_direct_semicircle(shape):
+def test_blocked_history_matches_direct_semicircle(shape, small_slab):
     sd, kern, drive = semicircle_setup(shape=shape)
     h = aligned_grid(0.0, 1.0, 0.01, drive).h
     for n in SCHEDULE_NS:
@@ -231,7 +241,8 @@ def test_blocked_history_matches_direct_semicircle(shape):
             <= 1e-12, n
 
 
-def test_blocked_history_matches_direct_tabulated(kinked_two_band):
+def test_blocked_history_matches_direct_tabulated(kinked_two_band,
+                                                  small_slab):
     drive = DrivingField(mean=0.2, period=1.25, shape="sine", amplitude=0.5)
     h = 0.01
     kern = QuadratureKernel(kinked_two_band, h, h * max(SCHEDULE_NS))
@@ -242,7 +253,7 @@ def test_blocked_history_matches_direct_tabulated(kinked_two_band):
             <= 1e-12, n
 
 
-def test_evolve_is_deterministic(kinked_two_band):
+def test_evolve_is_deterministic(kinked_two_band, small_slab):
     drive = DrivingField(mean=0.2, period=1.25, shape="square", amplitude=0.5)
     grid = aligned_grid(0.0, 0.01 * SCHEDULE_NS[-1], 0.01, drive)
     kern = QuadratureKernel(kinked_two_band, grid.h, grid.t_end)
@@ -287,7 +298,7 @@ def _batch_drives(shape, means):
 
 
 @pytest.mark.parametrize("shape", ["sine", "square"])
-def test_batched_columns_match_single_solves_semicircle(shape):
+def test_batched_columns_match_single_solves_semicircle(shape, small_slab):
     drives = _batch_drives(shape, (2.5, 1.0, -0.5))
     kern = SemicircleKernel(Semicircle(eta=1.0))
     h = aligned_grid(0.0, 1.0, 0.01, drives[0]).h
@@ -297,7 +308,7 @@ def test_batched_columns_match_single_solves_semicircle(shape):
 
 @pytest.mark.parametrize("shape", ["sine", "square"])
 def test_batched_columns_match_single_solves_tabulated(kinked_two_band,
-                                                       shape):
+                                                       shape, small_slab):
     drives = _batch_drives(shape, (0.2, 0.5, -1.5))
     h = aligned_grid(0.0, 1.0, 0.01, drives[0]).h
     kern = QuadratureKernel(kinked_two_band, h, h * max(SCHEDULE_NS))
@@ -305,12 +316,12 @@ def test_batched_columns_match_single_solves_tabulated(kinked_two_band,
         _columns_match_singles(kern, drives, TimeGrid(0.0, h, n))
 
 
-def test_wide_batches_match_single_solves():
-    # every width cuts its squares into the same _PIECE-node pieces, and
-    # walks the columns of the widest ones in chunks; at 3 _PIECE + 5 the
+def test_wide_batches_match_single_solves(small_slab):
+    # every width cuts its squares into the same PIECE-node pieces, and
+    # walks the columns of the widest ones in chunks; at 3 PIECE + 5 the
     # second target piece of the widest square is cut short
     kern = SemicircleKernel(Semicircle(eta=1.0))
-    grid = TimeGrid(0.0, 0.01, 3 * _PIECE + 5)
+    grid = TimeGrid(0.0, 0.01, 3 * PIECE + 5)
     for p in (5, sweep._BATCH):
         drives = _batch_drives("sine", [2.5 - 0.15 * j for j in range(p)])
         _columns_match_singles(kern, drives, grid)
@@ -335,50 +346,56 @@ def test_non_finite_value_in_a_batch_names_the_node():
 
 
 class _NanPhaseDrive(DrivingField):
-    """A sine drive whose level phase turns NaN from t = 59.995 on."""
+    """A sine drive whose level phase turns NaN from t = 1.995 on."""
 
     def modulation_integral(self, t):
         out = super().modulation_integral(t)
-        return np.where(np.asarray(t) >= 59.995, np.nan, out)
+        return np.where(np.asarray(t) >= 1.995, np.nan, out)
 
 
-def test_non_finite_value_past_the_first_scan_slab_names_the_node():
-    # the scan walks u a slab of rows at a time; node 6000 of a 3-wide
-    # batch lies in its second slab
+def test_non_finite_value_past_the_first_scan_slab_names_the_node(
+        small_slab):
+    # the scan walks u _SLAB // 3 = 170 rows at a time; node 200 of a
+    # 3-wide batch lies in its second slab
     drives = _batch_drives("sine", (2.5, 1.0))
     drives.append(_NanPhaseDrive(mean=0.0, period=1.25, shape="sine",
                                  amplitude=0.5))
     kern = SemicircleKernel(Semicircle(eta=1.0))
-    with pytest.raises(StepTooLarge, match=r"node 6000 \(t = 60\)"):
-        evolve(kern, 0.0, drives, TimeGrid(0.0, 0.01, 7000))
+    with pytest.raises(StepTooLarge, match=r"node 200 \(t = 2\)"):
+        evolve(kern, 0.0, drives, TimeGrid(0.0, 0.01, 250))
 
 
-def test_batch_memory_stays_bounded(traced_peak):
-    # traced peak of a solve at N = 10 000, less its result and its lag
-    # samples: the phase window, the far sums' transforms and the scan's
-    # slab, none of which grows with the width (measured 1.2 MB at both
-    # widths, numpy 2.4.6)
+def test_batch_memory_stays_bounded(traced_peak, monkeypatch):
+    # traced peak of a solve, less its result and its lag samples: the
+    # phase window, the far sums' transforms and the scan's slab, none of
+    # which grows with the width.  Under a 2^12-element slab the grid and
+    # the bound are 1/4 of the default's N = 10 000 and 1.5 MB (measured
+    # 0.33 MB at both widths, 1.2-1.4 MB at the default; numpy 2.4.6)
+    monkeypatch.setattr(oscquad, "_SLAB", 1 << 12)
     kern = SemicircleKernel(Semicircle(eta=0.8))
-    grid = TimeGrid(0.0, 0.01, 10_000)
+    grid = TimeGrid(0.0, 0.01, 2500)
     for p in (8, sweep._BATCH):
         drives = [DrivingField(mean=1.0, period=1.0 + j, shape="sine",
                                amplitude=0.5) for j in range(p)]
         _, peak = traced_peak(evolve, kern, 0.0, drives, grid)
         result = (grid.n_steps + 1) * (p + 1) * 16
-        assert peak - result <= 1.5e6, (p, peak - result)
+        assert peak - result <= 1.5e6 / 4, (p, peak - result)
 
 
-def test_far_sum_memory_is_accumulators_plus_live_windows(traced_peak):
-    # one square 2^16 nodes wide on one column, cut into k = 16 pieces:
-    # k target accumulators, at most k live lag windows, and the source,
-    # its zero-padded copy and the product, each a transform of 2 _PIECE
-    # points; holding all 2k - 1 lag windows of the square would take
-    # 3k + 3
-    size = 1 << 16
+def test_far_sum_memory_is_accumulators_plus_live_windows(traced_peak,
+                                                          monkeypatch):
+    # one square 16 pieces wide on one column, under a 2^10-element slab
+    # (pieces of 256 nodes): k = 16 target accumulators, at most k live lag
+    # windows, and the source, its zero-padded copy and the product, each
+    # a transform of 2 pieces; holding all 2k - 1 lag windows of the
+    # square would take 3k + 3
+    monkeypatch.setattr(oscquad, "_SLAB", 1 << 10)
+    piece = oscquad._SLAB // 4
+    k = 16
+    size = k * piece
     rng = np.random.default_rng(0)
     u = rng.standard_normal((2 * size + 1, 1)) + 0j
     g = rng.standard_normal(2 * size + 1) + 0j
-    k = size // _PIECE
-    transform = 2 * _PIECE * 16
+    transform = 2 * piece * 16
     _, peak = traced_peak(volterra._add_far, u, g, 1, 1 + size, size)
     assert peak <= (2 * k + 4) * transform, peak / transform
