@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: bound-states, u0, evolve, comb, oracle-compare, sweep.
-Each takes --config FILE plus any number of --set KEY.PATH=VALUE overrides;
-results go to stdout as JSON and, for traces, to CSV/SVG files named in the
-config's output block.  Exit codes: 0 success, 2 configuration problem
-(an output file that cannot be written included), 3 numerical failure.
+Each takes --config FILE plus any number of --set KEY.PATH=VALUE overrides.
+A command returns its result, which `main` prints as JSON and writes to
+output.report if set; traces go to the CSV/SVG files of the output block.
+Exit codes: 0 success, 2 configuration problem (an unknown key or an
+unwritable output file included), 3 numerical failure.
 Output files are written to NAME.partial first and renamed only on
 success, so an interrupted run never leaves a file that looks finished.
 
@@ -28,28 +29,24 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _print_json(obj):
-    print(json.dumps(obj, indent=2))
+def _write_trace(cfg, default, labeled_traces, title, extra=None):
+    """Write the first of labeled_traces to output.trace (default when
+    unset) and |u| of each to output.svg if set; returns the trace file."""
+    from .traceio import write_atomic, write_trace
 
+    trace = labeled_traces[0][0]
+    out = cfg.output.get("trace") or default
+    write_atomic(out, lambda p: write_trace(p, trace, config=cfg.to_dict(),
+                                            extra_columns=extra))
+    svg = cfg.output.get("svg")
+    if svg:
+        from .svgplot import line_plot
 
-def _svg_from_traces(path, labeled_traces, title):
-    from .svgplot import line_plot
-    from .traceio import write_atomic
-
-    curves = [(tr.times(), tr.magnitude(), label)
-              for tr, label in labeled_traces]
-    write_atomic(path,
-                 lambda p: line_plot(p, curves, title=title, ylabel="|u|"))
-
-
-def _print_and_report(cfg, payload):
-    """Print payload and, if output.report names a file, write it there."""
-    _print_json(payload)
-    report = cfg.output.get("report")
-    if report:
-        from .traceio import write_json
-        write_json(report, payload, indent=2)
-    return EXIT_OK
+        curves = [(tr.times(), tr.magnitude(), label)
+                  for tr, label in labeled_traces]
+        write_atomic(svg, lambda p: line_plot(p, curves, title=title,
+                                              ylabel="|u|"))
+    return out
 
 
 def _solve(cfg):
@@ -65,36 +62,28 @@ def _solve(cfg):
     return grid, trace
 
 
-def cmd_bound_states(cfg, args):
+def cmd_bound_states(cfg):
     from .spectral import find_bound_states
 
     states = find_bound_states(cfg.sd, cfg.eps_on)
-    return _print_and_report(
-        cfg, [{"energy": s.energy, "residue": s.residue} for s in states])
+    return [{"energy": s.energy, "residue": s.residue} for s in states]
 
 
-def cmd_u0(cfg, args):
+def cmd_u0(cfg):
     from .spectral import compute_u0
-    from .traceio import write_atomic, write_trace
     from .volterra import PropagatorTrace, aligned_grid
 
     cfg.require_grid()
     grid = aligned_grid(0.0, cfg.t_max, cfg.h)
     values = compute_u0(cfg.sd, cfg.eps_on, grid.times())
     trace = PropagatorTrace(grid, values)
-    out = cfg.output.get("trace") or "u0.csv"
-    write_atomic(out, lambda p: write_trace(p, trace, config=cfg.to_dict()))
-    svg = cfg.output.get("svg")
-    if svg:
-        _svg_from_traces(svg, [(trace, "driving-free")], "|u0(t)|")
-    _print_json({"trace": out, "n_nodes": grid.n_steps + 1,
-                 "final_magnitude": float(np.abs(values[-1]))})
-    return EXIT_OK
+    out = _write_trace(cfg, "u0.csv", [(trace, "driving-free")], "|u0(t)|")
+    return {"trace": out, "n_nodes": grid.n_steps + 1,
+            "final_magnitude": float(np.abs(values[-1]))}
 
 
-def cmd_evolve(cfg, args):
+def cmd_evolve(cfg):
     from .spectral import compute_u0
-    from .traceio import write_atomic, write_trace
     from .volterra import PropagatorTrace
 
     grid, trace = _solve(cfg)
@@ -104,58 +93,42 @@ def cmd_evolve(cfg, args):
         u0 = compute_u0(cfg.sd, cfg.eps_on, grid.times())
         extra = {"re_u0": u0.real, "im_u0": u0.imag, "abs_u0": np.abs(u0)}
         labeled.append((PropagatorTrace(grid, u0), "driving-free"))
-
-    out = cfg.output.get("trace") or "trace.csv"
-    write_atomic(out, lambda p: write_trace(p, trace, config=cfg.to_dict(),
-                                            extra_columns=extra))
-    svg = cfg.output.get("svg")
-    if svg:
-        _svg_from_traces(svg, labeled, "|u(t)|")
-    _print_json({"trace": out, "h": grid.h, "t_end": grid.t_end,
-                 "final_magnitude": float(np.abs(trace.values[-1]))})
-    return EXIT_OK
+    out = _write_trace(cfg, "trace.csv", labeled, "|u(t)|", extra)
+    return {"trace": out, "h": grid.h, "t_end": grid.t_end,
+            "final_magnitude": float(np.abs(trace.values[-1]))}
 
 
-def cmd_comb(cfg, args):
+def cmd_comb(cfg):
     from .comb import comb_reports
     from .spectral import find_bound_states
 
     cfg.require_drive()
     states = find_bound_states(cfg.sd, cfg.eps_on)
     reports = comb_reports(states, cfg.drive, cfg.sd.band)
-    return _print_and_report(
-        cfg, {"states": [dataclasses.asdict(r) for r in reports]})
+    return {"states": [dataclasses.asdict(r) for r in reports]}
 
 
-def cmd_oracle_compare(cfg, args):
+def cmd_oracle_compare(cfg):
     from . import oracle
 
     grid, trace = _solve(cfg)
     model = oracle.discretize(cfg.sd, cfg.n_modes, cfg.eps_s)
     ref = oracle.propagate(model, cfg.drive, grid)
-    deviation = oracle.compare(trace, ref)
-    _print_json({"n_modes": cfg.n_modes,
-                 "trust_horizon": model.trust_horizon(),
-                 "t_end": grid.t_end,
-                 "max_abs_deviation": deviation})
-    return EXIT_OK
+    return {"n_modes": cfg.n_modes,
+            "trust_horizon": model.trust_horizon(),
+            "t_end": grid.t_end,
+            "max_abs_deviation": oracle.compare(trace, ref)}
 
 
-def cmd_sweep(cfg, args):
+def cmd_sweep(cfg):
     from .sweep import run_sweep
 
-    _print_json(run_sweep(cfg))
-    return EXIT_OK
+    return run_sweep(cfg)
 
 
-_COMMANDS = {
-    "bound-states": cmd_bound_states,
-    "u0": cmd_u0,
-    "evolve": cmd_evolve,
-    "comb": cmd_comb,
-    "oracle-compare": cmd_oracle_compare,
-    "sweep": cmd_sweep,
-}
+# each cmd_ function is the subcommand of its name, "_" written as "-"
+_COMMANDS = {name[4:].replace("_", "-"): fn
+             for name, fn in list(globals().items()) if name[:4] == "cmd_"}
 
 
 def build_parser():
@@ -179,7 +152,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.set)
-        return args.func(cfg, args)
+        payload = args.func(cfg)
+        if cfg.output.get("report"):
+            from .traceio import write_json
+            write_json(cfg.output["report"], payload, indent=2)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -187,6 +163,8 @@ def main(argv=None):
         print(f"numerical failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_NUMERICAL
+    print(json.dumps(payload, indent=2))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -18,21 +18,92 @@ Schema (all energies and times in units where V0 scales the band):
     }
 
 Only the blocks a subcommand needs are required; a tabulated density uses
-kind "tabulated" with "grid"/"values" arrays and "band" intervals.
+kind "tabulated" with "grid"/"values" arrays and "band" intervals, and a
+harmonics drive lists its [A_n, B_n] pairs under "coefficients".  Every
+block goes through the one reader, `block_of`: a key the schema does not
+name, or a value of the wrong type (a number must be a JSON number, never
+true or false; n_modes and workers must be integers), is a ConfigError
+naming its dotted path.
 """
 
 import dataclasses
 import json
+import numbers
 
 from .driving import DrivingField
 from .errors import ConfigError
 from .spectral import Semicircle, Tabulated
 
 
+def block_of(fields, required=(), build=dict):
+    """The block reader: a checker (raw, dotted path) -> build(**block) for
+    an object whose keys fields names, block holding each value as
+    fields[key](value, dotted path of the value).  Anything but an object,
+    a key fields does not name, or a missing required key is a ConfigError
+    naming the path."""
+    def read(raw, path):
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path or 'config root'} must be an object")
+        prefix = path + "." if path else ""
+        for key in required:
+            if key not in raw:
+                raise ConfigError(f"{prefix}{key} is required")
+        block = {}
+        for key, value in raw.items():
+            if key not in fields:
+                raise ConfigError(f"unknown key {prefix}{key}")
+            block[key] = fields[key](value, prefix + key)
+        return build(**block)
+    return read
+
+
+def of_type(types, what, convert):
+    """A checker (value, dotted path) -> value for values of types; true
+    and false count only as bool, never as numbers."""
+    def check(value, path):
+        if not isinstance(value, types) or \
+                isinstance(value, bool) != (types is bool):
+            raise ConfigError(f"{path} must be {what}")
+        return convert(value)
+    return check
+
+
+number = of_type(numbers.Real, "a number", float)
+integer = of_type(numbers.Integral, "an integer", int)
+text = of_type(str, "a string", str)
+flag = of_type(bool, "true or false", bool)
+
+
+def or_null(check):
+    return lambda value, path: None if value is None else check(value, path)
+
+
+def list_of(check, length=None):
+    """A checker for a list (of length entries, if given) whose entries
+    pass check; gives a tuple."""
+    def read(value, path):
+        if not isinstance(value, (list, tuple)) or \
+                length not in (None, len(value)):
+            raise ConfigError(
+                f"{path} must be a list" + (f" of {length}" if length else ""))
+        return tuple(check(v, f"{path}[{i}]") for i, v in enumerate(value))
+    return read
+
+
+_PAIRS = list_of(list_of(number, 2))
+
+_DENSITIES = {
+    "semicircle": (Semicircle, block_of(
+        {"kind": text, "eta": number, "eps0": number, "v0": number})),
+    "tabulated": (Tabulated, block_of(
+        {"kind": text, "grid": list_of(number), "values": list_of(number),
+         "band": _PAIRS}, required=("grid", "values", "band"))),
+}
+
+
 def sd_to_dict(sd):
     if isinstance(sd, Semicircle):
-        return {"kind": "semicircle", "eta": sd.eta, "eps0": sd.eps0,
-                "v0": sd.v0}
+        return {"kind": "semicircle", **dataclasses.asdict(sd)}
     if isinstance(sd, Tabulated):
         return {"kind": "tabulated", "grid": list(map(float, sd.grid)),
                 "values": list(map(float, sd.values)),
@@ -40,23 +111,15 @@ def sd_to_dict(sd):
     raise ConfigError(f"unknown spectral density type {type(sd).__name__}")
 
 
-def sd_from_dict(block):
-    if not isinstance(block, dict):
-        raise ConfigError("spectral_density must be an object")
-    kind = block.get("kind", "semicircle")
-    try:
-        if kind == "semicircle":
-            return Semicircle(eta=float(block.get("eta", 1.0)),
-                              eps0=float(block.get("eps0", 0.0)),
-                              v0=float(block.get("v0", 1.0)))
-        if kind == "tabulated":
-            band = tuple(tuple(map(float, b)) for b in block["band"])
-            return Tabulated(grid=tuple(map(float, block["grid"])),
-                             values=tuple(map(float, block["values"])),
-                             band=band)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad spectral_density block: {exc}") from None
-    raise ConfigError(f"unknown spectral density kind {kind!r}")
+def sd_from_dict(raw, path):
+    kind = raw.get("kind", "semicircle") if isinstance(raw, dict) \
+        else "semicircle"
+    if not isinstance(kind, str) or kind not in _DENSITIES:
+        raise ConfigError(f"unknown spectral density kind {kind!r}")
+    cls, read = _DENSITIES[kind]
+    block = read(raw, path)
+    block.pop("kind", None)
+    return cls(**block)
 
 
 def drive_to_dict(f):
@@ -67,19 +130,19 @@ def drive_to_dict(f):
     return d
 
 
-def drive_from_dict(block):
-    if not isinstance(block, dict):
-        raise ConfigError("drive must be an object")
-    try:
-        coeffs = tuple((float(a), float(b))
-                       for a, b in block.get("coefficients", ()))
-        return DrivingField(mean=float(block.get("mean", 0.0)),
-                            period=float(block.get("period", 1.0)),
-                            shape=block.get("shape", "sine"),
-                            amplitude=float(block.get("amplitude", 0.0)),
-                            coefficients=coeffs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad drive block: {exc}") from None
+_ROOT = block_of({
+    "spectral_density": sd_from_dict,
+    "system": block_of({"eps_s": number}),
+    "drive": or_null(block_of({"shape": text, "mean": number,
+                               "period": number, "amplitude": number,
+                               "coefficients": _PAIRS}, build=DrivingField)),
+    "grid": block_of({"t_max": or_null(number), "h": or_null(number)}),
+    "window": or_null(list_of(number, 2)),
+    "oracle": block_of({"n_modes": integer}),
+    "sweep": or_null(of_type(dict, "an object", dict)),    # see _parse_sweep
+    "output": block_of({"trace": or_null(text), "svg": or_null(text),
+                        "report": or_null(text), "overlay_u0": flag}),
+}, required=("spectral_density",))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -118,52 +181,13 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be an object")
-        if "spectral_density" not in raw:
-            raise ConfigError("config needs a spectral_density block")
-        sd = sd_from_dict(raw["spectral_density"])
-        system = raw.get("system", {})
-        if not isinstance(system, dict):
-            raise ConfigError("system must be an object")
-        drive = None
-        if raw.get("drive") is not None:
-            drive = drive_from_dict(raw["drive"])
-        grid = raw.get("grid", {})
-        if not isinstance(grid, dict):
-            raise ConfigError("grid must be an object")
-        window = raw.get("window")
-        if window is not None:
-            try:
-                t1, t2 = window
-                window = (float(t1), float(t2))
-            except (TypeError, ValueError):
-                raise ConfigError("window must be [t1, t2]") from None
-        oracle = raw.get("oracle", {})
-        if not isinstance(oracle, dict):
-            raise ConfigError("oracle must be an object")
-        output = raw.get("output", {})
-        if not isinstance(output, dict):
-            raise ConfigError("output must be an object")
-        for key in ("trace", "svg", "report"):
-            if not isinstance(output.get(key), (str, type(None))):
-                raise ConfigError(f"output.{key} must be a file name or null")
-        if not isinstance(output.get("overlay_u0", False), bool):
-            raise ConfigError("output.overlay_u0 must be true or false")
-        try:
-            return cls(
-                sd=sd,
-                eps_s=float(system.get("eps_s", 0.0)),
-                drive=drive,
-                t_max=None if grid.get("t_max") is None else float(grid["t_max"]),
-                h=None if grid.get("h") is None else float(grid["h"]),
-                window=window,
-                n_modes=int(oracle.get("n_modes", 2000)),
-                sweep=raw.get("sweep"),
-                output=dict(output),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad config value: {exc}") from None
+        # the keys of system, grid and oracle, and the other top-level keys
+        # but spectral_density, are RunConfig's own field names
+        block = _ROOT(raw, "")
+        fields = {"sd": block.pop("spectral_density")}
+        for name in ("system", "grid", "oracle"):
+            fields.update(block.pop(name, {}))
+        return cls(**fields, **block)
 
     def require_grid(self):
         if self.t_max is None or self.h is None:
@@ -176,13 +200,6 @@ class RunConfig:
             raise ConfigError("this command needs a drive block")
 
 
-def _parse_value(text):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        return text
-
-
 def apply_override(raw, assignment):
     """Apply one KEY.PATH=VALUE override in place; VALUE parses as JSON
     when possible and as a bare string otherwise."""
@@ -190,16 +207,19 @@ def apply_override(raw, assignment):
     if not sep or not key:
         raise ConfigError(f"override {assignment!r} is not KEY=VALUE")
     node = raw
-    parts = key.split(".")
-    for part in parts[:-1]:
-        nxt = node.get(part)
-        if nxt is None:
-            nxt = {}
-            node[part] = nxt
-        if not isinstance(nxt, dict):
-            raise ConfigError(f"override {key!r} descends into a non-object")
-        node = nxt
-    node[parts[-1]] = _parse_value(value)
+    *parents, last = key.split(".")
+    for part in parents:
+        if not isinstance(node, dict):
+            break
+        if node.get(part) is None:
+            node[part] = {}
+        node = node[part]
+    if not isinstance(node, dict):
+        raise ConfigError(f"override {key!r} descends into a non-object")
+    try:
+        node[last] = json.loads(value)
+    except json.JSONDecodeError:
+        node[last] = value
 
 
 def load_config(path, overrides=()):

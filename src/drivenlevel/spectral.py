@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oscquad
-from .errors import QuadratureFailure, TooCloseToBandEdge
+from .errors import ConfigError, QuadratureFailure, TooCloseToBandEdge
 from .oscquad import angle_band_integral, phase_sum
 
 EDGE_COLLAR = 1e-6          # roots this close to a band edge are spurious
@@ -52,15 +52,15 @@ class Semicircle:
     analytic answers everywhere.
     """
 
-    eta: float
+    eta: float = 1.0
     eps0: float = 0.0
     v0: float = 1.0
 
     def __post_init__(self):
         if self.eta < 0.0:
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
+            raise ConfigError(f"eta must be >= 0, got {self.eta}")
         if self.v0 <= 0.0:
-            raise ValueError(f"v0 must be positive, got {self.v0}")
+            raise ConfigError(f"v0 must be positive, got {self.v0}")
 
     @property
     def band(self):
@@ -83,17 +83,17 @@ class Tabulated:
         g = np.asarray(self.grid, dtype=float)
         v = np.asarray(self.values, dtype=float)
         if g.ndim != 1 or g.size < 2 or v.shape != g.shape:
-            raise ValueError("grid and values must be matching 1-d sequences")
+            raise ConfigError("grid and values must be matching 1-d sequences")
         if np.any(np.diff(g) <= 0.0):
-            raise ValueError("grid must be strictly ascending")
+            raise ConfigError("grid must be strictly ascending")
         if np.any(v < 0.0):
-            raise ValueError("spectral density must be nonnegative")
+            raise ConfigError("spectral density must be nonnegative")
         band = tuple((float(lo), float(hi)) for lo, hi in self.band)
         for lo, hi in band:
             if hi <= lo:
-                raise ValueError(f"empty band interval ({lo}, {hi})")
+                raise ConfigError(f"empty band interval ({lo}, {hi})")
         if any(band[i][1] > band[i + 1][0] for i in range(len(band) - 1)):
-            raise ValueError("band intervals must be disjoint and sorted")
+            raise ConfigError("band intervals must be disjoint and sorted")
         object.__setattr__(self, "grid", tuple(float(x) for x in g))
         object.__setattr__(self, "values", tuple(float(x) for x in v))
         object.__setattr__(self, "band", band)
@@ -204,7 +204,7 @@ def _excess(s):
 
 
 def _delta_tabulated(sd, eps):
-    """PV transform (1/2pi) P int J(e')/(eps - e') de', exactly (vectorized).
+    """PV transform (1/2pi) P int J(e')/(eps - e') de' in closed form.
 
     A tabulated J is piecewise linear, and the Hilbert transform of a
     linear cell is elementary: with slope b and value c at eps (the cell's
@@ -216,7 +216,10 @@ def _delta_tabulated(sd, eps):
     through the band.  Off a band no cell holds eps, and each log ratio
     would cancel against its -b*(x1 - x0); there, with d = eps - x1 and
     s = (x1 - x0)/d, the cell is J(x0)*log1p(s) + b*d*((1 + s) log1p(s) - s),
-    which keeps full relative precision however far eps lies.
+    which keeps full relative precision however far eps lies.  Inside a
+    band the cells' rounding adds up: on the 4001-node tabulated
+    semicircle the result is 1.5e-14 relative off a 40-digit cell sum at
+    eps = 0.7 (6.8e-16 at eps = -1.3).
     A scalar eps gives a float, an array an array of its shape.
     """
     eps = np.asarray(eps, dtype=float)

@@ -21,7 +21,6 @@ import functools
 import hashlib
 import itertools
 import json
-import numbers
 import os
 import sys
 import time
@@ -30,6 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .comb import SURVIVES, comb_reports, survival_metric
+from .config import block_of, integer, list_of, number, or_null, text
 from .errors import ConfigError, DrivenLevelError
 from .kernel import kernel_for
 from .spectral import Semicircle, find_bound_states
@@ -61,12 +61,7 @@ class SweepAxis:
         if self.name not in AXIS_NAMES:
             raise ConfigError(
                 f"axis {self.name!r} not one of {', '.join(AXIS_NAMES)}")
-        if not isinstance(self.values, (list, tuple)) or not all(
-                isinstance(v, numbers.Real) and not isinstance(v, bool)
-                for v in self.values):
-            raise ConfigError(f"axis {self.name!r} values must be a list "
-                              f"of numbers")
-        vals = tuple(float(v) for v in self.values)
+        vals = list_of(number)(self.values, f"axis {self.name!r} values")
         if not vals:
             raise ConfigError(f"axis {self.name!r} has no points")
         if not np.all(np.isfinite(vals)):
@@ -76,19 +71,19 @@ class SweepAxis:
         object.__setattr__(self, "values", vals)
 
 
+_AXIS = block_of({"name": text, "values": list_of(number)},
+                 required=("name", "values"), build=SweepAxis)
+_SWEEP = block_of({"axes": list_of(_AXIS), "out": text,
+                   "workers": or_null(integer)}, required=("axes", "out"))
+
+
 def _parse_sweep(cfg):
     """(axes, out, workers) from cfg.sweep, checked against the rest of
     cfg: the one place the sweep block is read."""
     cfg.require_grid()
     cfg.require_drive()
-    block = cfg.sweep
-    if not block:
-        raise ConfigError("this command needs a sweep block")
-    try:
-        axes = tuple(SweepAxis(a["name"], a["values"]) for a in block["axes"])
-        out = block["out"]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"bad sweep block: {exc}") from None
+    block = _SWEEP(cfg.sweep, "sweep")
+    axes, out, workers = block["axes"], block["out"], block.get("workers")
     if not 1 <= len(axes) <= 2:
         raise ConfigError(f"need 1 or 2 axes, got {len(axes)}")
     names = [a.name for a in axes]
@@ -96,10 +91,9 @@ def _parse_sweep(cfg):
         raise ConfigError(f"duplicate axis {names}")
     if "eta" in names and not isinstance(cfg.sd, Semicircle):
         raise ConfigError("eta axis needs a semicircle density")
-    if not isinstance(out, str) or not out:
+    if not out:
         raise ConfigError("sweep.out must be a file name")
-    workers = block.get("workers")
-    if workers is not None and (type(workers) is not int or workers < 1):
+    if workers is not None and workers < 1:
         raise ConfigError("sweep.workers must be a positive integer or null")
     if cfg.window is None:
         raise ConfigError("sweep needs a window [t1, t2]")

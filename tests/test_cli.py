@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import drivenlevel
+from drivenlevel import sweep
 from drivenlevel.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from drivenlevel.config import RunConfig
 from drivenlevel.traceio import read_trace
@@ -277,34 +278,136 @@ def _sweep_block(workers=1, values=(1.25,), out="sweep.csv"):
                       "out": out, "workers": workers}}
 
 
-@pytest.mark.parametrize("command, block", [
-    ("bound-states", {"window": 5}),
-    ("bound-states", {"window": ["a", 1]}),
-    ("bound-states", {"oracle": 5}),
-    ("evolve", {"output": {"trace": 5}}),
-    ("evolve", {"output": {"svg": True}}),
-    ("bound-states", {"output": {"report": ["r.json"]}}),
-    ("evolve", {"output": {"overlay_u0": "yes"}}),
-    ("sweep", _sweep_block("two")),
-    ("sweep", _sweep_block(0)),
-    ("sweep", _sweep_block(1.5)),
-    ("sweep", _sweep_block(values="ab")),
-    ("sweep", _sweep_block(values=[1, "x"])),
-    ("sweep", _sweep_block(values="12")),
-    ("sweep", _sweep_block(out=5)),
+TRIANGLE_WITH = {**TRIANGLE, "grid": [-2.0, True, 2.0]}
+
+
+@pytest.mark.parametrize("command, block, key", [
+    ("bound-states", {"window": 5}, "window"),
+    ("bound-states", {"window": ["a", 1]}, "window[0]"),
+    ("bound-states", {"oracle": 5}, "oracle"),
+    ("evolve", {"output": {"trace": 5}}, "output.trace"),
+    ("evolve", {"output": {"svg": True}}, "output.svg"),
+    ("bound-states", {"output": {"report": ["r.json"]}}, "output.report"),
+    ("evolve", {"output": {"overlay_u0": "yes"}}, "output.overlay_u0"),
+    ("sweep", _sweep_block("two"), "sweep.workers"),
+    ("sweep", _sweep_block(0), "sweep.workers"),
+    ("sweep", _sweep_block(1.5), "sweep.workers"),
+    ("sweep", _sweep_block(values="ab"), "sweep.axes[0].values"),
+    ("sweep", _sweep_block(values=[1, "x"]), "sweep.axes[0].values[1]"),
+    ("sweep", _sweep_block(values="12"), "sweep.axes[0].values"),
+    ("sweep", _sweep_block(out=5), "sweep.out"),
+    # numbers are JSON numbers: true is not 1.0, 2000.7 is not 2000
+    ("evolve", {"grid": {"t_max": 5.0, "h": True}}, "grid.h"),
+    ("bound-states", {"system": {"eps_s": False}}, "system.eps_s"),
+    ("bound-states", {"spectral_density": {"eta": "1.0"}},
+     "spectral_density.eta"),
+    ("comb", {"drive": {**BASE["drive"], "amplitude": True}},
+     "drive.amplitude"),
+    ("comb", {"drive": {"shape": "harmonics", "mean": 2.5, "period": 1.25,
+                        "coefficients": [[0.5, True]]}},
+     "drive.coefficients[0][1]"),
+    ("bound-states", {"spectral_density": TRIANGLE_WITH},
+     "spectral_density.grid[1]"),
+    ("oracle-compare", {"oracle": {"n_modes": 2000.7}}, "oracle.n_modes"),
+    ("oracle-compare", {"oracle": {"n_modes": True}}, "oracle.n_modes"),
+    ("sweep", _sweep_block(True), "sweep.workers"),
 ], ids=["window-number", "window-text", "oracle-number", "trace-number",
         "svg-bool", "report-list", "overlay-text", "workers-text",
         "workers-zero", "workers-float", "values-text", "values-mixed",
-        "values-digits", "out-number"])
+        "values-digits", "out-number", "h-bool", "eps-bool", "eta-text",
+        "amplitude-bool", "coefficient-bool", "table-bool", "modes-float",
+        "modes-bool", "workers-bool"])
 def test_malformed_block_is_config_error(tmp_path, capsys, monkeypatch,
-                                         command, block):
+                                         command, block, key):
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, **block)
     code = main([command, "--config", cfg])
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
-    assert "config error" in err
+    assert err.startswith(f"config error: {key} must be ")
+    assert err.count("\n") == 1
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command, setting, key", [
+    ("evolve", "gird.h=0.5", "gird"),
+    ("evolve", "drive.amplitud=3", "drive.amplitud"),
+    ("bound-states", "spectral_density.etta=2", "spectral_density.etta"),
+    ("bound-states", "system.eps=1", "system.eps"),
+    ("evolve", "grid.dt=0.01", "grid.dt"),
+    ("oracle-compare", "oracle.modes=400", "oracle.modes"),
+    ("comb", "output.reprot=r.json", "output.reprot"),
+    ("sweep", "sweep.workres=2", "sweep.workres"),
+    ("sweep", 'sweep.axes=[{"name": "period", "values": [1.25], "step": 1}]',
+     "sweep.axes[0].step"),
+    ("bound-states", 'spectral_density={"kind": "tabulated", "grid": [0, 1],'
+     ' "values": [0, 0], "band": [[0, 1]], "eta": 1}', "spectral_density.eta"),
+], ids=["top", "drive", "semicircle", "system", "grid", "oracle", "output",
+        "sweep", "axis", "tabulated"])
+def test_unknown_key_is_config_error(tmp_path, capsys, monkeypatch,
+                                     command, setting, key):
+    # a misspelt key used to run the default in its place
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, **_sweep_block())
+    code = main([command, "--config", cfg, "--set", setting])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.err == f"config error: unknown key {key}\n"
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == ["run.json"]
+
+
+@pytest.mark.parametrize("command", ["bound-states", "u0", "evolve", "comb",
+                                     "oracle-compare", "sweep"])
+def test_report_equals_stdout(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, oracle={"n_modes": 200},
+                       output={"report": "r.json"}, **_sweep_block())
+    code = main([command, "--config", cfg])
+    assert code == EXIT_OK
+    out = capsys.readouterr().out
+    assert json.loads(out)
+    assert (tmp_path / "r.json").read_text() == out
+
+
+def test_non_object_config_is_config_error(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text("[]")
+    for extra in ([], ["--set", "grid.h=0.5"]):
+        code = main(["bound-states", "--config", str(path), *extra])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+
+
+DRIVES = {
+    "sine": BASE["drive"],
+    "square": {"shape": "square", "mean": 1.0, "amplitude": 0.3,
+               "period": 2.0},
+    "harmonics": {"shape": "harmonics", "mean": 2.5, "period": 1.25,
+                  "coefficients": [[0.5, 0.0], [0.0, 0.25]]},
+}
+
+
+@pytest.mark.parametrize("blocks", [
+    {},
+    {"window": [0.5, 1.0], "output": {"trace": "t.csv", "svg": None,
+                                      "report": "r.json", "overlay_u0": True},
+     "sweep": {"axes": [{"name": "period", "values": [1.25, 1.5]},
+                        {"name": "amplitude", "values": [0.1]}],
+               "out": "s.csv", "workers": None}},
+], ids=["bare", "window-sweep-output"])
+@pytest.mark.parametrize("drive", DRIVES.values(), ids=DRIVES.keys())
+@pytest.mark.parametrize("density", [BASE["spectral_density"], TRIANGLE],
+                         ids=["semicircle", "tabulated"])
+def test_to_dict_passes_the_strict_reader(density, drive, blocks):
+    # trace metadata embeds to_dict(), so the reader must take it back
+    cfg = RunConfig.from_dict({**BASE, "grid": {"t_max": 1.0, "h": 0.02},
+                               "spectral_density": density, "drive": drive,
+                               **blocks})
+    again = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+    assert again == cfg
+    if "sweep" in blocks:
+        assert len(sweep._parse_sweep(again)[0]) == 2
 
 
 @pytest.mark.parametrize("command, block, path", [

@@ -150,6 +150,17 @@ def test_failed_point_recorded_not_fatal(tmp_path):
     assert rows[1]["status"] == "ok"
 
 
+def test_negative_eta_point_fails_alone(tmp_path):
+    # a negative eta is no density: that point gets an error row, the
+    # others their usual rows
+    out = tmp_path / "s.csv"
+    run_sweep(small_spec(out, axes=(SweepAxis("eta", (-0.5, 1.0)),)))
+    rows = read_rows(out)
+    assert rows[0]["eta"] == "-0.5"
+    assert rows[0]["status"] == "ConfigError: eta must be >= 0, got -0.5"
+    assert rows[1]["status"] == "ok"
+
+
 def test_eta_axis_requires_semicircle(tmp_path):
     grid = np.linspace(-2.0, 2.0, 401)
     vals = np.sqrt(np.clip(4.0 - grid**2, 0.0, None))
