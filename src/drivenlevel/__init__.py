@@ -17,8 +17,8 @@ _EXPORTS = {
     "config": ("RunConfig", "load_config"),
     "driving": ("DrivingField", "fourier_coefficients"),
     "errors": ("ConfigError", "DrivenLevelError", "GridMismatch",
-               "KernelCoverage", "QuadratureFailure", "StepTooLarge",
-               "TooCloseToBandEdge", "WindowOutOfRange"),
+               "QuadratureFailure", "StepTooLarge", "TooCloseToBandEdge",
+               "WindowOutOfRange"),
     "kernel": ("QuadratureKernel", "SemicircleKernel", "kernel_for"),
     "spectral": ("BoundState", "SelfEnergyValue", "Semicircle",
                  "SystemSpectrum", "Tabulated", "compute_u0", "eval_j",

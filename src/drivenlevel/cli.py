@@ -57,8 +57,7 @@ def _solve(cfg):
     cfg.require_grid()
     cfg.require_drive()
     grid = aligned_grid(0.0, cfg.t_max, cfg.h, cfg.drive)
-    trace = evolve(kernel_for(cfg.sd, grid.h, grid.h * grid.n_steps),
-                   cfg.eps_s, cfg.drive, grid)
+    trace = evolve(kernel_for(cfg.sd), cfg.eps_s, cfg.drive, grid)
     return grid, trace
 
 

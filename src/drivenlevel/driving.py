@@ -24,8 +24,9 @@ HARMONICS = "harmonics"
 class DrivingField:
     """Periodic drive eps_d(t) = mean + modulation(t).
 
-    coefficients holds (A_n, B_n) pairs for n = 1.. and is only consulted
-    for the harmonics shape.
+    amplitude sets a sine or square drive, and coefficients, (A_n, B_n)
+    pairs for n = 1.., a harmonics drive; the field a shape does not use
+    must be left empty (zero amplitude, no coefficients).
     """
 
     mean: float = 0.0
@@ -39,7 +40,11 @@ class DrivingField:
             raise ConfigError(f"period must be positive, got {self.period}")
         if self.shape not in (SINE, SQUARE, HARMONICS):
             raise ConfigError(f"unknown drive shape {self.shape!r}")
+        if self.shape != HARMONICS and self.coefficients:
+            raise ConfigError(f"a {self.shape} drive takes no coefficients")
         if self.shape == HARMONICS:
+            if self.amplitude != 0.0:
+                raise ConfigError("a harmonics drive takes no amplitude")
             coeffs = tuple((float(a), float(b)) for a, b in self.coefficients)
             object.__setattr__(self, "coefficients", coeffs)
 

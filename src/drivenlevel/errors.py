@@ -25,10 +25,6 @@ class StepTooLarge(DrivenLevelError):
     """Time step violates a solver precondition or failed step-halving check."""
 
 
-class KernelCoverage(DrivenLevelError):
-    """Cached kernel lag grid does not cover the requested time span."""
-
-
 class WindowOutOfRange(DrivenLevelError):
     """Analysis window does not fit inside the trace."""
 

@@ -12,23 +12,20 @@ e^{-i r y s} needs n a little over r max|s| / 2.  The nodes pair up as
 +-y_k with equal weights, so n is even and the sum runs over the m = n/2
 positive ones: g = e^{-i eps0 s} Re sum_k 2 w_k e^{-i r y_k s}.
 
-A tabulated density has its kernel from the tabulated lag cache: the
-cell-exact transform of the piecewise-linear J, computed once on the
-solver's lag grid 0, h, ..., max_lag and read back only on that grid.
-Every kernel ends in `oscquad.phase_sum`, and the lag grid s = k*h is
-uniform, so lag samples take its blocked path: about 2 sqrt(n)
-exponentials per node for n lags instead of n.  Immutable after
-construction, safe to share across workers.
+A tabulated density has the cell-exact transform of its piecewise-linear
+J for a kernel, computed on the lag grid each time it is asked for.  A
+kernel holds only its density; the step belongs to the solver.  Every
+kernel ends in `oscquad.phase_sum`, and the lag grid s = k*h is uniform,
+so lag samples take its blocked path: about 2 sqrt(n) exponentials per
+node for n lags instead of n.  Immutable, safe to share across workers.
 """
 
 import numpy as np
 
 from . import oscquad
-from .errors import KernelCoverage
 from .oscquad import phase_sum
 from .spectral import Semicircle, Tabulated, _interval_nodes
 
-_LAG_ATOL = 1e-12
 # Gauss-Chebyshev nodes beyond n = a/2 + 4 a^{1/3}, a = 2 v0 max|s| the
 # phase range.  Max error / g(0) against the J1 closed form over
 # (eta, eps0, v0) in {(1,0,1), (0.8,0,1), (2.5,0,1), (1.3,0.7,1.7)} and
@@ -132,47 +129,32 @@ class SemicircleKernel:
 
 
 class QuadratureKernel:
-    """Memory kernel of a tabulated density, cached on a fixed lag grid.
+    """Memory kernel of a tabulated density: the cell-exact transform of
+    its piecewise-linear J."""
 
-    h is the solver step the cache is built for; max_lag bounds the covered
-    span.  lag_samples with a different spacing or beyond the cache raises
-    KernelCoverage rather than extrapolating.
-    """
-
-    def __init__(self, sd, h, max_lag):
+    def __init__(self, sd):
         if not isinstance(sd, Tabulated):
             raise TypeError("QuadratureKernel needs a Tabulated density")
-        if h <= 0.0 or max_lag < 0.0:
-            raise ValueError("need h > 0 and max_lag >= 0")
-        self.h = float(h)
-        n = int(np.ceil(max_lag / h - _LAG_ATOL))
-        # filled a slab of lags at a time, so the transforms' temporaries
-        # stay a fixed size however long the cache
-        self.cache = np.zeros(n + 1, dtype=complex)
-        slab = oscquad._SLAB
-        for k0 in range(0, n + 1, slab):
-            seg = self.cache[k0:k0 + slab]
-            lags = h * np.arange(k0, k0 + seg.size)
-            for lo, hi in sd.band:
-                seg += _tabulated_transform(sd, lo, hi, lags)
-            seg /= 2.0 * np.pi
-        self.cache.setflags(write=False)
+        self.sd = sd
 
     def lag_samples(self, h, n):
-        """Cached g on 0, h, ..., n*h; the cache must match h and cover n*h."""
-        if abs(h - self.h) > _LAG_ATOL:
-            raise KernelCoverage(
-                f"cache built for step {self.h}, requested {h}")
-        if n + 1 > self.cache.size:
-            raise KernelCoverage(
-                f"cache covers {self.cache.size - 1} lags, requested {n}")
-        return self.cache[:n + 1]
+        """g on the lag grid 0, h, ..., n*h."""
+        # a slab of lags at a time, so the transforms' temporaries stay a
+        # fixed size however many lags
+        out = np.zeros(n + 1, dtype=complex)
+        slab = oscquad._SLAB
+        for k0 in range(0, n + 1, slab):
+            seg = out[k0:k0 + slab]
+            lags = h * np.arange(k0, k0 + seg.size)
+            for lo, hi in self.sd.band:
+                seg += _tabulated_transform(self.sd, lo, hi, lags)
+            seg /= 2.0 * np.pi
+        return out
 
 
-def kernel_for(sd, h, max_lag):
-    """The kernel of a density on lags 0..max_lag at step h: the closed
-    form for a semicircle (which ignores h and max_lag), the lag cache for
-    a table."""
+def kernel_for(sd):
+    """The kernel of a density: the closed form for a semicircle, the
+    cell-exact transform for a table."""
     if isinstance(sd, Semicircle):
         return SemicircleKernel(sd)
-    return QuadratureKernel(sd, h, max_lag)
+    return QuadratureKernel(sd)

@@ -17,7 +17,6 @@ so each row is exactly what its point gives on its own.
 
 import csv
 import dataclasses
-import functools
 import hashlib
 import itertools
 import json
@@ -30,6 +29,7 @@ import numpy as np
 
 from .comb import SURVIVES, comb_reports, survival_metric
 from .config import block_of, integer, list_of, number, or_null, text
+from .driving import HARMONICS
 from .errors import ConfigError, DrivenLevelError
 from .kernel import kernel_for
 from .spectral import Semicircle, find_bound_states
@@ -91,6 +91,8 @@ def _parse_sweep(cfg):
         raise ConfigError(f"duplicate axis {names}")
     if "eta" in names and not isinstance(cfg.sd, Semicircle):
         raise ConfigError("eta axis needs a semicircle density")
+    if "amplitude" in names and cfg.drive.shape == HARMONICS:
+        raise ConfigError("amplitude axis needs a sine or square drive")
     if not out:
         raise ConfigError("sweep.out must be a file name")
     if workers is not None and workers < 1:
@@ -156,8 +158,8 @@ def evaluate_batch(payload):
             drives.append(drive_pt)
         grid = aligned_grid(0.0, cfg.t_max, cfg.h, drives[0])
         # the batch shares one eta, so the last point's density is theirs
-        fine, est = convergence_check(functools.partial(kernel_for, sd_pt),
-                                      cfg.eps_s, drives, grid)
+        fine, est = convergence_check(kernel_for(sd_pt), cfg.eps_s, drives,
+                                      grid)
         return [head + [_fmt(survival_metric(tr, cfg.window)),
                         format(e, ".3e"), "ok"]
                 for head, tr, e in zip(heads, fine, est)]

@@ -13,10 +13,16 @@ import os
 import numpy as np
 
 from . import oscquad
+from .config import block_of, integer, number, of_type, text
 from .errors import ConfigError
 
 FORMAT_NAME = "drivenlevel-trace"
 FORMAT_VERSION = 1
+
+_META = block_of({"format": text, "version": integer, "t0": number,
+                  "h": number, "n_steps": integer,
+                  "config": of_type(dict, "an object", dict)},
+                 required=("t0", "h", "n_steps"))
 
 
 def write_atomic(path, write_fn):
@@ -94,14 +100,20 @@ def read_trace(path):
             meta = json.loads(first.lstrip("#").strip())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: bad metadata line: {exc}") from None
-        if meta.get("format") != FORMAT_NAME:
+        if not isinstance(meta, dict) or meta.get("format") != FORMAT_NAME:
             raise ConfigError(f"{path}: not a {FORMAT_NAME} file")
+        meta = _META(meta, f"{path}: metadata")
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ConfigError(f"{path}: missing header row")
         if header[:4] != ["t", "re_u", "im_u", "abs_u"]:
             raise ConfigError(f"{path}: unexpected columns {header[:4]}")
         rows = [row for row in reader if row]
-    grid = TimeGrid(float(meta["t0"]), float(meta["h"]), int(meta["n_steps"]))
+    try:
+        grid = TimeGrid(meta["t0"], meta["h"], meta["n_steps"])
+    except ValueError as exc:
+        raise ConfigError(f"{path}: metadata grid: {exc}") from None
     if len(rows) != grid.n_steps + 1:
         raise ConfigError(
             f"{path}: {len(rows)} rows but metadata promises {grid.n_steps + 1}")

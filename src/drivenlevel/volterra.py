@@ -196,10 +196,10 @@ def evolve(kern, eps_s, drive, grid):
     solve to roundoff (its history dots are matrix products, summed in
     another order).
 
-    kern must provide lag_samples(h, n_steps) covering the full span
-    (KernelCoverage propagates from shorter caches).  Preconditions on the
-    step are checked up front and raise StepTooLarge, and so does a
-    non-finite value anywhere in the result.
+    kern must provide lag_samples(h, n_steps), g on the n_steps + 1 lags
+    0, h, ..., n_steps*h.  Preconditions on the step are checked up front
+    and raise StepTooLarge, and so does a non-finite value anywhere in the
+    result.
 
     With x_k the h-scaled trapezoid history at t_k (endpoint excluded),
     e_k = e^{-i Phi(t_k)}, a = h g(0) / 2 and z_k = (h/2) conj(e_k) x_k,
@@ -304,19 +304,15 @@ def compare(a, b):
     return float(np.max(np.abs(a.values - b.values)))
 
 
-def convergence_check(make_kernel, eps_s, drive, grid):
-    """Solve at h and h/2 and compare on shared nodes.
+def convergence_check(kern, eps_s, drive, grid):
+    """Evolve with kern at h and at h/2 and compare on the shared nodes.
 
-    make_kernel(h, max_lag) builds the kernel for each resolution.  Returns
-    (half-step trace, error estimate); for a list of drives, as in
+    Returns (half-step trace, error estimate); for a list of drives, as in
     `evolve`, the list of half-step traces and the list of estimates.
     """
     fine = TimeGrid(grid.t0, 0.5 * grid.h, 2 * grid.n_steps)
-
-    def solve(g):
-        return evolve(make_kernel(g.h, g.h * g.n_steps), eps_s, drive, g)
-
-    coarse_trace, fine_trace = solve(grid), solve(fine)
+    coarse_trace = evolve(kern, eps_s, drive, grid)
+    fine_trace = evolve(kern, eps_s, drive, fine)
     batched = isinstance(drive, (list, tuple))
     pairs = zip(coarse_trace, fine_trace) if batched \
         else [(coarse_trace, fine_trace)]

@@ -34,8 +34,7 @@ def run_case(eta, mean, shape, amplitude, period, t_max, h=0.01):
     f = DrivingField(mean=mean, period=period, shape=shape,
                      amplitude=amplitude)
     grid = aligned_grid(0.0, t_max, h, f)
-    kern = kernel_for(sd, grid.h, grid.h * grid.n_steps)
-    return evolve(kern, 0.0, f, grid)
+    return evolve(kernel_for(sd), 0.0, f, grid)
 
 
 def mag_at(trace, t_want):
@@ -148,8 +147,7 @@ def test_c05_volterra_matches_lattice():
     parts = []
     for label, f in cases:
         grid = aligned_grid(0.0, 50.0, 0.005, f)
-        kern = kernel_for(sd, grid.h, grid.h * grid.n_steps)
-        tr = evolve(kern, 0.0, f, grid)
+        tr = evolve(kernel_for(sd), 0.0, f, grid)
         ref = oracle.propagate(model, f, grid)
         dev = oracle.compare(tr, ref)
         parts.append((f"{label} dev {dev:.1e} <= 1e-3", dev <= 1e-3))
@@ -265,15 +263,11 @@ def test_c10_solver_second_order():
     ]
     parts = []
     for eta, eps_s, f in scenarios:
-        sd = Semicircle(eta=eta)
-
-        def make_kernel(step, max_lag):
-            return kernel_for(sd, step, max_lag)
-
+        kern = kernel_for(Semicircle(eta=eta))
         ests = []
         for h in (0.02, 0.01):
             grid = aligned_grid(0.0, 20.0, h, f)
-            _, est = convergence_check(make_kernel, eps_s, f, grid)
+            _, est = convergence_check(kern, eps_s, f, grid)
             ests.append(est)
         ratio = ests[0] / ests[1]
         parts.append((f"eta={eta} T={f.period} ratio {ratio:.2f} in [3.5,4.5]",

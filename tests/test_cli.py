@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -121,7 +122,7 @@ EAGER_EXPORTS = (
     "CombOverlap", "CombReport", "comb_report", "comb_reports",
     "late_window_peaks", "survival_metric", "RunConfig", "load_config",
     "DrivingField", "fourier_coefficients", "ConfigError", "DrivenLevelError",
-    "GridMismatch", "KernelCoverage", "QuadratureFailure", "StepTooLarge",
+    "GridMismatch", "QuadratureFailure", "StepTooLarge",
     "TooCloseToBandEdge", "WindowOutOfRange", "QuadratureKernel",
     "SemicircleKernel", "kernel_for", "BoundState", "SelfEnergyValue",
     "Semicircle", "SystemSpectrum", "Tabulated", "compute_u0", "eval_j",
@@ -215,6 +216,29 @@ def test_benchmark_tracer_binds_kernel_names(tmp_path, density, lag_span):
     assert out.returncode == 0, out.stderr
     names = {span[0] for span in json.loads(spans.read_text())["spans"]}
     assert {"kernel.kernel_for", lag_span} <= names
+
+
+def test_benchmark_tracer_names_resolve():
+    # every module, function and method perfbench/tracer.py wraps by name
+    # must exist in the package
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", os.path.join(root, "perfbench", "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    modules = {m: importlib.import_module(f"drivenlevel.{m}")
+               for m in (*tracer.WHOLE_MODULES, *tracer.FUNCTIONS,
+                         *tracer.METHODS)}
+    for short, names in tracer.FUNCTIONS.items():
+        for name in names:
+            assert callable(getattr(modules[short], name, None)), \
+                f"{short}.{name}"
+    for short, classes in tracer.METHODS.items():
+        for cls_name, methods in classes.items():
+            cls = getattr(modules[short], cls_name, None)
+            for m in methods:
+                assert callable(getattr(cls, m, None)), \
+                    f"{short}.{cls_name}.{m}"
 
 
 def test_comb_command(tmp_path, capsys):
@@ -393,7 +417,7 @@ DRIVES = {
     {"window": [0.5, 1.0], "output": {"trace": "t.csv", "svg": None,
                                       "report": "r.json", "overlay_u0": True},
      "sweep": {"axes": [{"name": "period", "values": [1.25, 1.5]},
-                        {"name": "amplitude", "values": [0.1]}],
+                        {"name": "mean", "values": [0.1]}],
                "out": "s.csv", "workers": None}},
 ], ids=["bare", "window-sweep-output"])
 @pytest.mark.parametrize("drive", DRIVES.values(), ids=DRIVES.keys())
@@ -408,6 +432,22 @@ def test_to_dict_passes_the_strict_reader(density, drive, blocks):
     assert again == cfg
     if "sweep" in blocks:
         assert len(sweep._parse_sweep(again)[0]) == 2
+
+
+def test_amplitude_axis_on_harmonics_is_config_error(tmp_path, capsys,
+                                                     monkeypatch):
+    # a harmonics drive takes its modulation from its coefficients, so an
+    # amplitude axis would sweep nothing
+    monkeypatch.chdir(tmp_path)
+    block = _sweep_block()
+    block["sweep"]["axes"] = [{"name": "amplitude", "values": [0.5, 3.0]}]
+    cfg = write_config(tmp_path, drive=DRIVES["harmonics"], **block)
+    code = main(["sweep", "--config", cfg])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.err == ("config error: amplitude axis needs a sine or "
+                            "square drive\n")
+    assert os.listdir(tmp_path) == ["run.json"]
 
 
 @pytest.mark.parametrize("command, block, path", [

@@ -22,6 +22,8 @@ def random_fields(rng, n):
         kwargs = dict(mean=rng.uniform(-2, 2), period=rng.uniform(0.3, 12.0),
                       shape=shape, amplitude=rng.uniform(0.0, 5.0))
         if shape == "harmonics":
+            # drawn all the same, so the other shapes' draws do not move
+            kwargs["amplitude"] = 0.0
             m = rng.integers(1, 5)
             kwargs["coefficients"] = tuple(
                 (rng.normal(), rng.normal()) for _ in range(m))
@@ -35,6 +37,19 @@ def test_validation():
         DrivingField(period=-1.0)
     with pytest.raises(ConfigError):
         DrivingField(shape="triangle")
+
+
+def test_unused_fields_are_refused():
+    # a field the shape never reads would be accepted and then ignored
+    for shape in ("sine", "square"):
+        with pytest.raises(ConfigError, match="takes no coefficients"):
+            DrivingField(shape=shape, amplitude=0.5,
+                         coefficients=((0.5, 0.0),))
+    with pytest.raises(ConfigError, match="takes no amplitude"):
+        DrivingField(shape="harmonics", amplitude=0.5,
+                     coefficients=((0.5, 0.0),))
+    f = DrivingField(shape="harmonics", coefficients=((0.5, 0.0),))
+    assert f.max_modulation() == pytest.approx(0.5, rel=1e-6)
 
 
 def test_sine_values():

@@ -5,7 +5,6 @@ from scipy import integrate
 from scipy.special import j1
 
 from drivenlevel import oscquad
-from drivenlevel.errors import KernelCoverage
 from drivenlevel.kernel import QuadratureKernel, SemicircleKernel, kernel_for
 from drivenlevel.spectral import Semicircle, Tabulated, eval_j
 
@@ -105,7 +104,7 @@ def test_quadrature_kernel_tabulated_density():
     g = np.linspace(lo, hi, 4001)
     tab = Tabulated(grid=tuple(g), values=tuple(eval_j(sc, g)),
                     band=((lo, hi),))
-    kq = QuadratureKernel(tab, 0.2, 3.0)
+    kq = QuadratureKernel(tab)
     ks = SemicircleKernel(sc)
     lags = np.arange(0, 16) * 0.2
     # limited by the table resolution, not the transform
@@ -113,7 +112,7 @@ def test_quadrature_kernel_tabulated_density():
     # an all-zero table (a decoupled level) gives exact zeros on both the
     # short-lag series and the long-lag phase sums
     zero = Tabulated(tab.grid, (0.0,) * len(tab.grid), tab.band)
-    assert not np.any(QuadratureKernel(zero, 0.2, 3.0).lag_samples(0.2, 15))
+    assert not np.any(QuadratureKernel(zero).lag_samples(0.2, 15))
 
 
 def mp_tabulated_kernel(sd, s, dps=40):
@@ -133,45 +132,40 @@ def mp_tabulated_kernel(sd, s, dps=40):
 
 
 def test_tabulated_kernel_small_lags(kinked_two_band):
-    # the (1/s^2) slope-jump sum cancels at small lags; a cache of step s
-    # holds lag s as its second entry, so each lag shows any loss directly
+    # the (1/s^2) slope-jump sum cancels at small lags; lag samples of step
+    # s hold lag s as their second entry, so each lag shows any loss directly
     g0 = abs(mp_tabulated_kernel(kinked_two_band, 0.0))
+    kern = QuadratureKernel(kinked_two_band)
     for s in (1e-7, 1e-5, 1e-3, 0.01, 0.5, 2.0):
         want = mp_tabulated_kernel(kinked_two_band, s)
-        got = QuadratureKernel(kinked_two_band, s, s).lag_samples(s, 1)[1]
+        got = kern.lag_samples(s, 1)[1]
         assert abs(got - want) <= 1e-12 * g0
 
 
-def test_tabulated_cache_chunks_agree(kinked_two_band, monkeypatch):
-    # a slab of 100 lags fills the cache in 31 chunks, the last one short
-    whole = QuadratureKernel(kinked_two_band, 0.01, 30.0).cache
+def test_tabulated_lag_samples_chunks_agree(kinked_two_band, monkeypatch):
+    # a slab of 100 lags fills the 3001 lags in 31 chunks, the last one short
+    kern = QuadratureKernel(kinked_two_band)
+    whole = kern.lag_samples(0.01, 3000)
     monkeypatch.setattr(oscquad, "_SLAB", 100)
-    chunked = QuadratureKernel(kinked_two_band, 0.01, 30.0).cache
+    chunked = kern.lag_samples(0.01, 3000)
     assert np.max(np.abs(chunked - whole)) <= 1e-15 * abs(whole[0])
 
 
-def test_tabulated_cache_memory_is_cache_plus_chunk(kinked_two_band,
-                                                    traced_peak, monkeypatch):
-    # under a 2^10-element slab, 1/16 of the default, the cache and the
+def test_tabulated_lag_samples_memory_is_result_plus_chunk(
+        kinked_two_band, traced_peak, monkeypatch):
+    # under a 2^10-element slab, 1/16 of the default, the lags and the
     # allowed working memory are 1/16 of the default's 200 001 lags and 2 MB
     monkeypatch.setattr(oscquad, "_SLAB", 1 << 10)
-    kern, peak = traced_peak(QuadratureKernel, kinked_two_band, 0.01, 125.0)
-    assert kern.cache.size == 12_501
-    assert peak <= kern.cache.nbytes + 2e6 / 16, peak - kern.cache.nbytes
-
-
-def test_lag_coverage_errors(kinked_two_band):
-    kern = QuadratureKernel(kinked_two_band, 0.1, 1.0)
-    with pytest.raises(KernelCoverage):
-        kern.lag_samples(0.1, 200)      # past the cache
-    with pytest.raises(KernelCoverage):
-        kern.lag_samples(0.07, 5)       # wrong spacing
+    kern = QuadratureKernel(kinked_two_band)
+    lags, peak = traced_peak(kern.lag_samples, 0.01, 12_500)
+    assert lags.size == 12_501
+    assert peak <= lags.nbytes + 2e6 / 16, peak - lags.nbytes
 
 
 def test_kernel_for_dispatch():
     sd = Semicircle(eta=1.0)
-    assert isinstance(kernel_for(sd, 0.1, 1.0), SemicircleKernel)
+    assert isinstance(kernel_for(sd), SemicircleKernel)
     with pytest.raises(TypeError):
-        QuadratureKernel(sd, 0.1, 1.0)
+        QuadratureKernel(sd)
     tab = Tabulated((-1.0, 0.0, 1.0), (0.0, 1.0, 0.0), ((-1.0, 1.0),))
-    assert isinstance(kernel_for(tab, 0.1, 1.0), QuadratureKernel)
+    assert isinstance(kernel_for(tab), QuadratureKernel)

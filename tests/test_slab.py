@@ -27,7 +27,7 @@ def _layers(tab):
     rng = np.random.default_rng(0)
     x, w = rng.uniform(-2.0, 2.0, 300), rng.normal(size=300) + 0j
     sc = Semicircle(eta=1.0)
-    tab_kern = QuadratureKernel(tab, 0.01, 3.5)
+    tab_kern = QuadratureKernel(tab)
     drives = [DrivingField(mean=m, period=1.25, shape="sine", amplitude=0.5)
               for m in (2.5, 1.0, -0.5)]
     # blocks of 64 nodes: the square at node 256 is 16 pieces of 16 at a
@@ -37,7 +37,7 @@ def _layers(tab):
         "phase sum, uniform": phase_sum(x, w, 0.01 * np.arange(3000)),
         "phase sum, scattered": phase_sum(x, w, rng.uniform(-30, 30, 500)),
         "semicircle lags": SemicircleKernel(sc).lag_samples(0.01, 2000),
-        "tabulated lags": tab_kern.cache,
+        "tabulated lags": tab_kern.lag_samples(0.01, 350),
         "tabulated shift": spectral._delta_tabulated(
             tab, np.linspace(-4.0, 4.0, 301)),
         "evolve": evolve(SemicircleKernel(sc), 0.0, drives[0], grid).values,

@@ -104,6 +104,38 @@ def test_foreign_format_rejected(tmp_path):
         read_trace(path)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("t0", None, "metadata.t0 is required"),
+    ("h", None, "metadata.h is required"),
+    ("n_steps", None, "metadata.n_steps is required"),
+    ("h", -0.05, "metadata grid: need h > 0"),
+    ("n_steps", 0, "metadata grid: need h > 0"),
+], ids=["t0-missing", "h-missing", "n_steps-missing", "h-negative",
+        "n_steps-zero"])
+def test_bad_grid_metadata_rejected(tmp_path, key, value, message):
+    # value None deletes the key
+    path = tmp_path / "trace.csv"
+    write_trace(path, sample_trace(5), {})
+    first, rest = path.read_text().split("\n", 1)
+    meta = json.loads(first[1:])
+    if value is None:
+        del meta[key]
+    else:
+        meta[key] = value
+    path.write_text("# " + json.dumps(meta) + "\n" + rest)
+    with pytest.raises(ConfigError, match=message):
+        read_trace(path)
+
+
+def test_missing_header_row_rejected(tmp_path):
+    path = tmp_path / "trace.csv"
+    write_trace(path, sample_trace(5), {})
+    first = path.read_text().split("\n", 1)[0]
+    path.write_text(first + "\n")
+    with pytest.raises(ConfigError, match="missing header row"):
+        read_trace(path)
+
+
 def test_truncated_rows_rejected(tmp_path):
     tr = sample_trace(5)
     path = tmp_path / "trace.csv"

@@ -1,5 +1,3 @@
-import functools
-
 import numpy as np
 import pytest
 
@@ -111,7 +109,7 @@ def test_decoupled_is_exact_phase():
 def test_decoupled_convergence_estimate_tiny():
     sd, kern, drive = semicircle_setup(eta=0.0)
     grid = aligned_grid(0.0, 10.0, 0.01, drive)
-    _, est = convergence_check(lambda h, max_lag: kern, 0.0, drive, grid)
+    _, est = convergence_check(kern, 0.0, drive, grid)
     assert est < 1e-12
 
 
@@ -131,9 +129,8 @@ def test_second_order_convergence():
     sd, kern, drive = semicircle_setup()
     grid_c = aligned_grid(0.0, 10.0, 0.02, drive)
     grid_f = aligned_grid(0.0, 10.0, 0.01, drive)
-    factory = lambda h, max_lag: kern
-    _, est_c = convergence_check(factory, 0.0, drive, grid_c)
-    _, est_f = convergence_check(factory, 0.0, drive, grid_f)
+    _, est_c = convergence_check(kern, 0.0, drive, grid_c)
+    _, est_f = convergence_check(kern, 0.0, drive, grid_f)
     assert 3.5 < est_c / est_f < 4.5
 
 
@@ -200,21 +197,19 @@ def test_compare_grid_mismatch():
     assert compare(a, PropagatorTrace(TimeGrid(0.0, 0.1, 2), 2 * v)) == 1.0
 
 
-def test_convergence_check_accepts_factory_and_tol():
-    sd = Semicircle(eta=1.0)
-    drive = DrivingField(mean=2.5, period=1.25, shape="sine", amplitude=0.5)
+def test_convergence_check_is_two_evolves(kinked_two_band):
+    # one kernel serves both steps: the check is an evolve at h and one at
+    # h/2, compared on the nodes they share
+    kern = QuadratureKernel(kinked_two_band)
+    drive = DrivingField(mean=0.2, period=1.25, shape="sine", amplitude=0.5)
     grid = aligned_grid(0.0, 5.0, 0.02, drive)
-
-    calls = []
-
-    def factory(h, max_lag):
-        calls.append(h)
-        return kernel_for(sd, h, max_lag)
-
-    fine, est = convergence_check(factory, 0.0, drive, grid)
-    assert sorted(calls) == [0.01, 0.02]
-    assert fine.grid.h == pytest.approx(0.01)
-    assert est < 1e-3
+    half = TimeGrid(grid.t0, 0.5 * grid.h, 2 * grid.n_steps)
+    fine, est = convergence_check(kern, 0.0, drive, grid)
+    coarse = evolve(kern, 0.0, drive, grid)
+    direct = evolve(kern, 0.0, drive, half)
+    assert fine.grid == half
+    assert np.array_equal(fine.values, direct.values)
+    assert est == np.max(np.abs(coarse.values - direct.values[::2]))
 
 
 def test_history_affects_solution():
@@ -245,7 +240,7 @@ def test_blocked_history_matches_direct_tabulated(kinked_two_band,
                                                   small_slab):
     drive = DrivingField(mean=0.2, period=1.25, shape="sine", amplitude=0.5)
     h = 0.01
-    kern = QuadratureKernel(kinked_two_band, h, h * max(SCHEDULE_NS))
+    kern = QuadratureKernel(kinked_two_band)
     for n in SCHEDULE_NS:
         grid = TimeGrid(0.0, h, n)
         fast = evolve(kern, 0.0, drive, grid)
@@ -256,7 +251,7 @@ def test_blocked_history_matches_direct_tabulated(kinked_two_band,
 def test_evolve_is_deterministic(kinked_two_band, small_slab):
     drive = DrivingField(mean=0.2, period=1.25, shape="square", amplitude=0.5)
     grid = aligned_grid(0.0, 0.01 * SCHEDULE_NS[-1], 0.01, drive)
-    kern = QuadratureKernel(kinked_two_band, grid.h, grid.t_end)
+    kern = QuadratureKernel(kinked_two_band)
     a = evolve(kern, 0.0, drive, grid)
     b = evolve(kern, 0.0, drive, grid)
     assert np.array_equal(a.values, b.values)
@@ -311,7 +306,7 @@ def test_batched_columns_match_single_solves_tabulated(kinked_two_band,
                                                        shape, small_slab):
     drives = _batch_drives(shape, (0.2, 0.5, -1.5))
     h = aligned_grid(0.0, 1.0, 0.01, drives[0]).h
-    kern = QuadratureKernel(kinked_two_band, h, h * max(SCHEDULE_NS))
+    kern = QuadratureKernel(kinked_two_band)
     for n in SCHEDULE_NS:
         _columns_match_singles(kern, drives, TimeGrid(0.0, h, n))
 
@@ -331,10 +326,10 @@ def test_batched_convergence_check_matches_single():
     drives = _batch_drives("sine", (2.5, 1.0))
     sd = Semicircle(eta=1.0)
     grid = aligned_grid(0.0, 5.0, 0.02, drives[0])
-    factory = functools.partial(kernel_for, sd)
-    fine, est = convergence_check(factory, 0.0, drives, grid)
+    kern = kernel_for(sd)
+    fine, est = convergence_check(kern, 0.0, drives, grid)
     for d, tr, e in zip(drives, fine, est):
-        tr1, e1 = convergence_check(factory, 0.0, d, grid)
+        tr1, e1 = convergence_check(kern, 0.0, d, grid)
         assert _rel_dev(tr, tr1) <= 1e-12
         assert e == pytest.approx(e1, rel=1e-9, abs=1e-15)
 
