@@ -5,7 +5,8 @@ Each takes --config FILE plus any number of --set KEY.PATH=VALUE overrides.
 A command returns its result, which `main` prints as JSON and writes to
 output.report if set; traces go to the CSV/SVG files of the output block.
 Exit codes: 0 success, 2 configuration problem (an unknown key or an
-unwritable output file included), 3 numerical failure.
+unwritable output file included), 3 numerical failure.  An output file
+whose directory does not exist is refused before the command runs.
 Output files are written to NAME.partial first and renamed only on
 success, so an interrupted run never leaves a file that looks finished.
 
@@ -16,7 +17,9 @@ its command uses (only `sweep` loads the process pool and hashlib).
 
 import argparse
 import dataclasses
+import errno
 import json
+import os
 import sys
 
 import numpy as np
@@ -29,13 +32,18 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _write_trace(cfg, default, labeled_traces, title, extra=None):
-    """Write the first of labeled_traces to output.trace (default when
-    unset) and |u| of each to output.svg if set; returns the trace file."""
+# the trace file of the commands that write one, when output.trace is unset
+_TRACE_DEFAULTS = {"u0": "u0.csv", "evolve": "trace.csv"}
+
+
+def _write_trace(cfg, command, labeled_traces, title, extra=None):
+    """Write the first of labeled_traces to output.trace (the command's
+    default when unset) and |u| of each to output.svg if set; returns the
+    trace file."""
     from .traceio import write_atomic, write_trace
 
     trace = labeled_traces[0][0]
-    out = cfg.output.get("trace") or default
+    out = cfg.output.get("trace") or _TRACE_DEFAULTS[command]
     write_atomic(out, lambda p: write_trace(p, trace, config=cfg.to_dict(),
                                             extra_columns=extra))
     svg = cfg.output.get("svg")
@@ -76,7 +84,7 @@ def cmd_u0(cfg):
     grid = aligned_grid(0.0, cfg.t_max, cfg.h)
     values = compute_u0(cfg.sd, cfg.eps_on, grid.times())
     trace = PropagatorTrace(grid, values)
-    out = _write_trace(cfg, "u0.csv", [(trace, "driving-free")], "|u0(t)|")
+    out = _write_trace(cfg, "u0", [(trace, "driving-free")], "|u0(t)|")
     return {"trace": out, "n_nodes": grid.n_steps + 1,
             "final_magnitude": float(np.abs(values[-1]))}
 
@@ -92,7 +100,7 @@ def cmd_evolve(cfg):
         u0 = compute_u0(cfg.sd, cfg.eps_on, grid.times())
         extra = {"re_u0": u0.real, "im_u0": u0.imag, "abs_u0": np.abs(u0)}
         labeled.append((PropagatorTrace(grid, u0), "driving-free"))
-    out = _write_trace(cfg, "trace.csv", labeled, "|u(t)|", extra)
+    out = _write_trace(cfg, "evolve", labeled, "|u(t)|", extra)
     return {"trace": out, "h": grid.h, "t_end": grid.t_end,
             "final_magnitude": float(np.abs(trace.values[-1]))}
 
@@ -130,6 +138,27 @@ _COMMANDS = {name[4:].replace("_", "-"): fn
              for name, fn in list(globals().items()) if name[:4] == "cmd_"}
 
 
+def _check_output_directories(cfg, command):
+    """Raise the ConfigError that writing would raise for the first file
+    command will write into a directory that does not exist, so that a
+    run never ends on an unwritable file after its work is done."""
+    paths = []
+    if command in _TRACE_DEFAULTS:
+        paths += [cfg.output.get("trace") or _TRACE_DEFAULTS[command],
+                  cfg.output.get("svg")]
+    if command == "sweep":
+        from .sweep import _parse_sweep
+
+        out = _parse_sweep(cfg)[1]
+        paths += [out + ".json", out]
+    paths.append(cfg.output.get("report"))
+    for path in filter(None, paths):
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+            raise ConfigError(f"cannot write {path}: {os.strerror(code)}")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="drivenlevel",
@@ -151,6 +180,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.set)
+        _check_output_directories(cfg, args.command)
         payload = args.func(cfg)
         if cfg.output.get("report"):
             from .traceio import write_json

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import drivenlevel
-from drivenlevel import sweep
+from drivenlevel import spectral, sweep, volterra
 from drivenlevel.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from drivenlevel.config import RunConfig
 from drivenlevel.traceio import read_trace
@@ -450,13 +450,35 @@ def test_amplitude_axis_on_harmonics_is_config_error(tmp_path, capsys,
     assert os.listdir(tmp_path) == ["run.json"]
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """Names of the solver entry points the CLI calls from here on."""
+    calls = []
+    for module, name in ((volterra, "evolve"), (spectral, "compute_u0"),
+                         (spectral, "find_bound_states"),
+                         (sweep, "run_sweep")):
+        def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
 @pytest.mark.parametrize("command, block, path", [
     ("evolve", {"output": {"trace": "nodir/t.csv"}}, "nodir/t.csv"),
     ("bound-states", {"output": {"report": "nodir/r.json"}}, "nodir/r.json"),
     ("sweep", _sweep_block(out="nodir/s.csv"), "nodir/s.csv.json"),
-], ids=["trace", "report", "sweep"])
+    ("u0", {"output": {"svg": "nodir/p.svg"}}, "nodir/p.svg"),
+    ("sweep", {**_sweep_block(), "output": {"report": "nodir/r.json"}},
+     "nodir/r.json"),
+    ("oracle-compare", {"output": {"report": "nodir/r.json"}},
+     "nodir/r.json"),
+], ids=["trace", "report", "sweep", "u0-svg", "sweep-report",
+        "oracle-compare-report"])
 def test_unwritable_output_is_config_error(tmp_path, capsys, monkeypatch,
-                                           command, block, path):
+                                           solves, command, block, path):
+    # the directories are checked before the command runs, so nothing is
+    # solved and nothing is written
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, **block)
     code = main([command, "--config", cfg])
@@ -464,6 +486,8 @@ def test_unwritable_output_is_config_error(tmp_path, capsys, monkeypatch,
     assert code == EXIT_CONFIG
     assert err == (f"config error: cannot write {path}: "
                    f"No such file or directory\n")
+    assert solves == []
+    assert os.listdir(tmp_path) == ["run.json"]
 
 
 @pytest.mark.parametrize("path, content", [

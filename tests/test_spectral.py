@@ -1,4 +1,6 @@
+import ast
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -530,6 +532,110 @@ def test_u0_dense_table_node_count(band_nodes):
             <= spectral.U0_TOL)
     # the table itself is 1e-4 from the semicircle it samples
     assert np.max(np.abs(u - compute_u0(sc, 2.5, t))) <= 2e-4
+
+
+def test_u0_sum_rule_sees_lost_continuum_weight(kinked_two_band,
+                                               monkeypatch):
+    # half of one band's weight lost keeps |u0| <= 1, so only the sum rule
+    # at t = 0 sees it
+    t = 0.01 * np.arange(2001)
+    real = spectral.angle_band_integral
+    calls = []
+
+    def halve_first(*args, **kwargs):
+        calls.append(args[1:3])
+        out = real(*args, **kwargs)
+        return 0.5 * out if len(calls) == 1 else out
+
+    monkeypatch.setattr(spectral, "angle_band_integral", halve_first)
+    with pytest.raises(QuadratureFailure, match="sum rule"):
+        compute_u0(kinked_two_band, 0.2, t)
+    assert calls == [(-3.0, -1.0), (1.0, 3.0)]
+    # the same loss, with t = 0 not among the times: the bound on |u0| is
+    # all there is to check, and it holds
+    calls.clear()
+    u = compute_u0(kinked_two_band, 0.2, t[1:])
+    assert np.max(np.abs(u)) <= 1.0
+
+
+def test_band_resonance_on_the_scan_grid_is_found_once():
+    # the root 0 is a scan point, where the shifted level is exactly zero;
+    # the cells on either side of it hold no other root
+    res = spectral._band_resonances(Semicircle(eta=0.1), 0.0)
+    assert len(res) == 1 and abs(res[0]) <= 1e-10
+
+
+def resonance_split_u0(sd, eps_on, t, resonance, panels=512, order=64):
+    """Semicircle u0 (no bound state) with Gauss-Legendre panels in the
+    angle of each half of the band split at the resonance."""
+    glx, glw = np.polynomial.legendre.leggauss(order)
+    (lo, hi), = sd.band
+    half = 0.5 * np.pi / panels
+    phi = ((half * (2 * np.arange(panels) + 1))[:, None] + half * glx).ravel()
+    out = 0.0
+    for a, b in ((lo, resonance), (resonance, hi)):
+        c, w = 0.5 * (a + b), 0.5 * (b - a)
+        x = c - w * np.cos(phi)
+        fx = (band_spectral_function(sd, eps_on, x) * w * np.sin(phi)
+              * np.tile(half * glw, panels))
+        out = out + oscquad.phase_sum(x, fx, t) / (2.0 * np.pi)
+    return out
+
+
+def test_u0_weak_coupling_breaks_at_the_resonance(band_nodes):
+    # a level in the band leaves one continuum peak about eta^2 wide; not
+    # broken there, this integral took 819 200 nodes
+    sd, eps_on = Semicircle(eta=0.01), 0.5
+    t = np.linspace(0.0, 200.0, 20001)
+    u = compute_u0(sd, eps_on, t)
+    assert find_bound_states(sd, eps_on) == []
+    (sizes,) = band_nodes
+    assert sizes[-1] <= 16384
+    # the root of eps - eps_on - eta^2 eps / 2
+    resonance = eps_on / (1.0 - 0.5 * sd.eta ** 2)
+    want = resonance_split_u0(sd, eps_on, t[::10], resonance)
+    assert np.max(np.abs(u[::10] - want)) <= 1e-12
+
+
+def test_u0_weakest_coupling_converges(band_nodes):
+    # not broken at the resonance, this integral ran out of nodes
+    t = np.linspace(0.0, 200.0, 20001)
+    u = compute_u0(Semicircle(eta=0.005), 1.5, t)
+    assert band_nodes[0][-1] <= 32768
+    assert abs(u[0] - 1.0) <= 1e-12
+
+
+def test_spectrum_and_u0_break_the_bands_alike(kinked_two_band, monkeypatch):
+    # a level in the upper band: a resonance there, and every table kink
+    seen = []
+    real = spectral.angle_band_integral
+
+    def spy(f, a, b, times, tol, *, breaks=()):
+        seen.append(((a, b), np.sort(breaks)))
+        return real(f, a, b, times, tol, breaks=breaks)
+
+    monkeypatch.setattr(spectral, "angle_band_integral", spy)
+    spectrum(kinked_two_band, 2.0)
+    compute_u0(kinked_two_band, 2.0, 0.01 * np.arange(501))
+    by_spectrum, by_u0 = seen[:2], seen[2:]
+    assert [band for band, _ in by_u0] == list(kinked_two_band.band)
+    for (band, at), (u0_band, u0_at) in zip(by_spectrum, by_u0):
+        assert band == u0_band and np.array_equal(at, u0_at)
+    (resonance,) = spectral._band_resonances(kinked_two_band, 2.0)
+    upper = by_u0[1][1]
+    assert resonance in upper
+    assert set(kinked_two_band.grid[10:-1]) <= set(upper)
+
+
+def test_one_band_integral_call_site():
+    # spectrum and u0 share one spectral sum, so the band quadrature is
+    # called from one place
+    tree = ast.parse(pathlib.Path(spectral.__file__).read_text())
+    # by its imported name or as oscquad.angle_band_integral
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None))
+             == "angle_band_integral"]
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("bad", [2.0, np.nan])
