@@ -21,13 +21,14 @@ Only the blocks a subcommand needs are required; a tabulated density uses
 kind "tabulated" with "grid"/"values" arrays and "band" intervals, and a
 harmonics drive lists its [A_n, B_n] pairs under "coefficients".  Every
 block goes through the one reader, `block_of`: a key the schema does not
-name, or a value of the wrong type (a number must be a JSON number, never
-true or false; n_modes and workers must be integers), is a ConfigError
-naming its dotted path.
+name, or a value of the wrong type (a number must be a finite JSON number,
+never true or false; n_modes, the cap on the oracle's chain sites, and
+workers must be integers), is a ConfigError naming its dotted path.
 """
 
 import dataclasses
 import json
+import math
 import numbers
 
 from .driving import DrivingField
@@ -59,16 +60,18 @@ def block_of(fields, required=(), build=dict):
 
 def of_type(types, what, convert):
     """A checker (value, dotted path) -> value for values of types; true
-    and false count only as bool, never as numbers."""
+    and false count only as bool, never as numbers, and a number must be
+    finite (Python's json reads NaN and Infinity)."""
     def check(value, path):
         if not isinstance(value, types) or \
-                isinstance(value, bool) != (types is bool):
+                isinstance(value, bool) != (types is bool) or \
+                (types is numbers.Real and not math.isfinite(value)):
             raise ConfigError(f"{path} must be {what}")
         return convert(value)
     return check
 
 
-number = of_type(numbers.Real, "a number", float)
+number = of_type(numbers.Real, "a finite number", float)
 integer = of_type(numbers.Integral, "an integer", int)
 text = of_type(str, "a string", str)
 flag = of_type(bool, "true or false", bool)
@@ -192,8 +195,9 @@ class RunConfig:
     def require_grid(self):
         if self.t_max is None or self.h is None:
             raise ConfigError("this command needs grid.t_max and grid.h")
-        if self.t_max <= 0.0 or self.h <= 0.0:
-            raise ConfigError("grid.t_max and grid.h must be positive")
+        if not 0.0 < self.h <= self.t_max:
+            raise ConfigError(f"grid.h {self.h:g} must be positive and at "
+                              f"most grid.t_max {self.t_max:g}")
 
     def require_drive(self):
         if self.drive is None:

@@ -1,19 +1,23 @@
-"""Independent cross-check: the level coupled to an explicit finite lattice.
+"""Independent cross-check: the level coupled to the reservoir's exact chain.
 
-The reservoir continuum is replaced by n_modes discrete levels at band-cell
-midpoints with couplings v_k = sqrt(J(e_k) d_eps / 2 pi), a star around the
-level.  The one-particle Schroedinger equation for the level's amplitude is
-then integrated exactly as a matrix evolution; no memory integral, no
-self-energy.  Agreement with the Volterra route validates both.
+Every reservoir is exactly a semi-infinite chain (Chin, Rivas, Huelga and
+Plenio, J. Math. Phys. 51, 092109 (2010)): the level couples to site 1
+with c0, site k sits at a_k and hops to k+1 with b_k, the recurrence
+coefficients of the measure J de / 2 pi.  The level's amplitude then comes
+from an exact matrix evolution; no memory integral, no self-energy.
+Agreement with the Volterra route validates both.
 
-The star is exactly a chain (Chin, Rivas, Huelga and Plenio, J. Math.
-Phys. 51, 092109 (2010)): plain Lanczos on the mode energies, started from
-the couplings, gives a tridiagonal Hamiltonian in which the level talks to
-the first chain site only.  Amplitude runs along the chain no faster than
-2 b_max (b_max the largest hopping), so an echo from a cut at site L
-reaches the level no sooner than about L / b_max: over a span only the
-first b_max * span + CHAIN_MARGIN sites matter and the rest are cut, and
-the level's amplitude is the star's to roundoff.
+A semicircle's chain is closed-form: c0 = eta v0, every a_k = eps0, every
+b_k = v0.  A table's comes from plain Lanczos on per-cell Gauss-Legendre
+nodes with weights J w / 2 pi, the discretized Stieltjes procedure
+(Gautschi, Orthogonal Polynomials: Computation and Approximation, OUP
+2004, ch. 2): m nodes a cell are exact for the first m - 1 coefficients.
+Amplitude runs along the chain no faster than 2 b_max, so an echo from a
+cut at site L returns no sooner than about L / b_max: a span needs only
+b_max * span + CHAIN_MARGIN sites (`chain_sites`), and the level's
+amplitude is the infinite chain's to roundoff.  Nothing is discretized and
+nothing recurs, so the only error is the split step's, second order in h;
+the CLI's oracle.n_modes caps the sites.
 
 Propagation uses the eigenbasis of that static chain (a dense symmetric
 eigendecomposition of a few hundred sites).  The drive only moves the
@@ -28,99 +32,86 @@ compose, K(a) K(b) = K(a + b), so the closing kick of one step and the
 opening kick of the next are applied as one, and the level amplitude
 q^T psi read just before it gives u by one phase: q^T K(phi) psi =
 e^{-i phi} q^T psi.  Every factor is unitary, so the norm is conserved to
-roundoff; the splitting is second order in h.  propagate checks that at
-run time: a non-finite u, or a final |psi|^2 further than NORM_SLACK from
-1, raises DrivenLevelError.
-
-The discrete star spectrum recurs: beyond roughly 2 pi n_modes / bandwidth
-the mirror reflections return.  Propagation refuses to run past half that.
+roundoff.  propagate checks that at run time: a non-finite u, or a final
+|psi|^2 further than NORM_SLACK from 1, raises DrivenLevelError.
 """
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from . import oscquad
-from .errors import ConfigError, DrivenLevelError
-from .spectral import eval_j
+from .errors import DrivenLevelError
+from .spectral import Semicircle, _interval_nodes, eval_j, is_decoupled
 # compare is the solver's own, offered here for oracle-vs-solver checks
 from .volterra import PropagatorTrace, compare
 
-# |psi|^2 drift allowed at the end of a run: the README run (2000 modes,
-# 20 000 steps) drifts by 8e-13, so this leaves three decades of headroom
+# |psi|^2 drift allowed at the end of a run: the README run (20 000 steps)
+# drifts by 1.5e-12, so this leaves more than two decades of headroom
 NORM_SLACK = 1e-9
-# chain sites kept beyond the light cone b_max * span (chain_hamiltonian).
-# Against the whole star on the README run (2000 modes, t = 200) a margin of
-# 10 / 20 / 30 / 50 misses by 5.7e-5 / 1.3e-8 / 5.4e-13 / 2.4e-13; 20 also
-# fails tests/test_oracle.py's 1e-12 chain-vs-star cases and 30 passes them
+# chain sites beyond the light cone b_max * span.  On the README run (t =
+# 200, h 0.01) margins of 10 / 20 / 30 / 40 / 50 miss a margin of 400 by
+# 1.4e-4 / 4.6e-8 / 1.8e-12 / 1.8e-13 / 1.8e-13
 CHAIN_MARGIN = 50
+# a table cell gets min(L + 1, ceil(_NODES_PER_SITE (L + 1) F) + _NODE_FLOOR)
+# nodes for L sites, F its arcsine share of its band (`_star`).  Worst
+# coefficient error against m = L + 1 over nine tables (edge grading, J zero
+# on part of a band, unequal or far narrow bands, dense ones) at spans
+# 20-1000, per site 2 / 3: floor 8 2.6e-2 / 3.3e-9, floor 12 2.4e-3 /
+# 9.2e-14, floor 16 8.5e-7 / 9.8e-14 (roundoff; 16 keeps a step of margin).
+# A 4001-node table at span 200 takes 68 154 nodes, 2.2e-14 off.  Width
+# shares, ceil(4 (L + 1) w / W) + 16, miss a 401-node table's chain at span
+# 1000: an edge cell holds about L sqrt(w / W) zeros
+_NODES_PER_SITE = 3
+_NODE_FLOOR = 16
 
 
-@dataclass(eq=False)
-class LatticeModel:
-    """Discretized reservoir plus the system level (eps_s on the dot)."""
-
-    sd: object
-    n_modes: int
-    eps_s: float
-    energies: np.ndarray
-    couplings: np.ndarray
-
-    @property
-    def bandwidth(self):
-        return sum(hi - lo for lo, hi in self.sd.band)
-
-    def recurrence_time(self):
-        """Heisenberg time of the level ladder, 2 pi / spacing."""
-        return 2.0 * np.pi * self.n_modes / self.bandwidth
-
-    def trust_horizon(self):
-        return 0.5 * self.recurrence_time()
+def chain_sites(sd, span):
+    """Sites of the chain the oracle builds over span, b_max * span +
+    CHAIN_MARGIN: b_max = v0 for a semicircle, and for a table the bound
+    b_k <= half its bands' hull (its Lanczos may stop sooner)."""
+    if is_decoupled(sd):
+        return 0
+    b_max = sd.v0 if isinstance(sd, Semicircle) else \
+        0.5 * (sd.band[-1][1] - sd.band[0][0])
+    return math.ceil(b_max * span + CHAIN_MARGIN)
 
 
-def discretize(sd, n_modes, eps_s=0.0):
-    """Midpoint discretization of the band(s) into n_modes reservoir levels.
+def _star(sd, sites):
+    """Per-cell Gauss-Legendre nodes of a table and their couplings
+    sqrt(J w / 2 pi), exact for the first `sites` chain coefficients.  The
+    orthogonal polynomials' zeros crowd to the band edges like the arcsine
+    law, and a cell needs nodes for the zeros it holds (_NODES_PER_SITE)."""
+    # imported here so that a semicircle never loads numpy.polynomial
+    from numpy.polynomial.legendre import leggauss
 
-    Modes are split across band intervals proportionally to their widths so
-    the level spacing is uniform throughout; every band needs at least one.
-    """
-    if n_modes < 2:
-        raise ConfigError(f"n_modes must be >= 2, got {n_modes}")
-    widths = [hi - lo for lo, hi in sd.band]
-    total = sum(widths)
-    counts = [max(1, int(round(n_modes * w / total))) for w in widths[:-1]]
-    counts.append(n_modes - sum(counts))
-    if counts[-1] < 1:
-        raise ConfigError(
-            f"n_modes {n_modes} is too few for {len(widths)} bands "
-            f"(mode counts {counts})")
-    energies, couplings = [], []
-    for (lo, hi), m in zip(sd.band, counts):
-        de = (hi - lo) / m
-        ek = lo + de * (np.arange(m) + 0.5)
-        energies.append(ek)
-        couplings.append(np.sqrt(eval_j(sd, ek) * de / (2.0 * np.pi)))
-    return LatticeModel(sd, n_modes, float(eps_s),
-                        np.concatenate(energies), np.concatenate(couplings))
+    energies, weights = [], []
+    for lo, hi in sd.band:
+        x = _interval_nodes(sd, lo, hi)[0]
+        cdf = np.arccos(np.clip((lo + hi - 2.0 * x) / (hi - lo), -1.0, 1.0))
+        m = np.minimum(sites + 1, _NODE_FLOOR + np.ceil(
+            _NODES_PER_SITE * (sites + 1) * np.diff(cdf) / np.pi).astype(int))
+        half = 0.5 * np.diff(x)
+        for k in np.unique(m):
+            t, w = leggauss(k)
+            cells = m == k
+            energies.append(((x[:-1] + half)[cells, None]
+                             + half[cells, None] * t).ravel())
+            weights.append((half[cells, None] * w).ravel())
+    e = np.concatenate(energies)
+    return e, np.sqrt(eval_j(sd, e) * np.concatenate(weights) / (2.0 * np.pi))
 
 
-def chain_hamiltonian(model, span, mean=0.0):
-    """(L+1)-site tridiagonal Hamiltonian; index 0 is the system level.
-
-    Plain Lanczos on diag(energies) from the couplings (the discretized
-    Stieltjes procedure) maps the star onto a chain: the level, at
-    eps_s + mean, couples to chain site 1 with |couplings|, site k has
-    on-site a_k and hops to k+1 with b_k.  An echo from the chain's end
-    needs about L / b_max to return to the level, so the chain stops at
-    L >= b_max * span + CHAIN_MARGIN, or when it holds every coupled mode
-    (then it is the whole star).
-    """
-    c0 = float(np.linalg.norm(model.couplings))
-    n_coupled = int(np.count_nonzero(model.couplings))
-    e = model.energies
+def _lanczos(e, couplings, span):
+    """(c0, a, b) of the star diag(e) with couplings, by plain Lanczos
+    from the couplings: the level couples to chain site 1 with c0, site k
+    has on-site a_k and hops to k+1 with b_k.  It stops at L >= b_max *
+    span + CHAIN_MARGIN, or with every coupled mode (the whole star)."""
+    c0 = float(np.linalg.norm(couplings))
+    n_coupled = int(np.count_nonzero(couplings))
     a, b = [], []
     if n_coupled:
-        v, v_prev, b_prev, b_max = model.couplings / c0, 0.0, 0.0, 0.0
+        v, v_prev, b_prev, b_max = couplings / c0, 0.0, 0.0, 0.0
         while True:
             w = e * v
             a.append(float(v @ w))
@@ -133,13 +124,23 @@ def chain_hamiltonian(model, span, mean=0.0):
                 break
             b.append(b_prev)
             v_prev, v = v, w / b_prev
+    return c0, a, b
+
+
+def chain_hamiltonian(sd, eps_on, span):
+    """Tridiagonal Hamiltonian of the level at eps_on (index 0) and the
+    chain that span needs."""
+    sites = chain_sites(sd, span)
+    if isinstance(sd, Semicircle):
+        c0, a, b = sd.eta * sd.v0, [sd.eps0] * sites, [sd.v0] * sites
+    else:
+        c0, a, b = _lanczos(*_star(sd, sites), span)
     off = ([c0] + b)[:len(a)]
-    return (np.diag([model.eps_s + mean] + a)
-            + np.diag(off, 1) + np.diag(off, -1))
+    return np.diag([eps_on] + a) + np.diag(off, 1) + np.diag(off, -1)
 
 
-def _eigensystem(model, mean, span):
-    lam, vecs = np.linalg.eigh(chain_hamiltonian(model, span, mean))
+def _eigensystem(sd, eps_on, span):
+    lam, vecs = np.linalg.eigh(chain_hamiltonian(sd, eps_on, span))
     return lam, np.ascontiguousarray(vecs[0, :])   # level's row = e0
 
 
@@ -166,20 +167,14 @@ def _kicks(drive, grid, lo, hi):
     return left[0], kicks, np.exp(-1j * right[:m]).tolist()
 
 
-def propagate(model, drive, grid):
-    """Level amplitude u(t_k, t0) on the grid; returns a PropagatorTrace.
+def propagate(sd, eps_s, drive, grid):
+    """Amplitude u(t_k, t0) of the level at eps_s under drive, coupled to
+    sd's chain, on the grid; returns a PropagatorTrace.
 
-    Refuses spans beyond the trust horizon (finite-size recurrences).  Raises
-    DrivenLevelError if any u is non-finite or the final norm has drifted
-    from 1 by more than NORM_SLACK.
+    Raises DrivenLevelError if any u is non-finite or the final norm has
+    drifted from 1 by more than NORM_SLACK.
     """
-    span = grid.t_end - grid.t0
-    horizon = model.trust_horizon()
-    if span > horizon:
-        raise ConfigError(
-            f"span {span:.1f} exceeds trust horizon {horizon:.1f}; "
-            f"increase n_modes")
-    lam, q = _eigensystem(model, drive.mean, span)
+    lam, q = _eigensystem(sd, eps_s + drive.mean, grid.t_end - grid.t0)
     n = grid.n_steps
     phase_step = np.exp(-1j * grid.h * lam)
 

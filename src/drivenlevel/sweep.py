@@ -25,8 +25,6 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
-
 from .comb import SURVIVES, comb_reports, survival_metric
 from .config import block_of, integer, list_of, number, or_null, text
 from .driving import HARMONICS
@@ -64,8 +62,6 @@ class SweepAxis:
         vals = list_of(number)(self.values, f"axis {self.name!r} values")
         if not vals:
             raise ConfigError(f"axis {self.name!r} has no points")
-        if not np.all(np.isfinite(vals)):
-            raise ConfigError(f"axis {self.name!r} has non-finite points")
         if len(set(vals)) != len(vals):
             raise ConfigError(f"axis {self.name!r} has repeated points")
         object.__setattr__(self, "values", vals)

@@ -133,7 +133,6 @@ def test_c04_spectral_sum_rule():
 
 def test_c05_volterra_matches_lattice():
     sd = Semicircle(eta=1.0)
-    model = oracle.discretize(sd, 2000, 0.0)
     cases = [
         ("no drive", DrivingField(mean=2.5, period=1.0, shape="sine",
                                   amplitude=0.0)),
@@ -148,10 +147,11 @@ def test_c05_volterra_matches_lattice():
     for label, f in cases:
         grid = aligned_grid(0.0, 50.0, 0.005, f)
         tr = evolve(kernel_for(sd), 0.0, f, grid)
-        ref = oracle.propagate(model, f, grid)
+        ref = oracle.propagate(sd, 0.0, f, grid)
         dev = oracle.compare(tr, ref)
         parts.append((f"{label} dev {dev:.1e} <= 1e-3", dev <= 1e-3))
-    parts.append(("horizon covers the run", model.trust_horizon() > 50.0))
+    parts.append(("the t = 50 chain fits in 2000 sites",
+                  oracle.chain_sites(sd, grid.t_end) <= 2000))
     report("check 05 volterra vs lattice", parts)
 
 

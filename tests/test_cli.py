@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import drivenlevel
@@ -165,6 +166,8 @@ def test_import_and_evolve_leave_out_unused_layers(tmp_path):
     # a report is written without the solver's trace types
     ("bound-states", {"report": "r.json"}, ("drivenlevel.volterra",)),
     ("comb", {"report": "r.json"}, ("drivenlevel.volterra",)),
+    # a semicircle's chain is closed-form: no Gauss-Legendre rule
+    ("oracle-compare", {}, ("numpy.ma", "numpy.polynomial")),
 ])
 def test_commands_leave_out_unused_layers(tmp_path, command, output, unused):
     cfg = write_config(tmp_path, output=output)
@@ -218,6 +221,22 @@ def test_benchmark_tracer_binds_kernel_names(tmp_path, density, lag_span):
     assert {"kernel.kernel_for", lag_span} <= names
 
 
+def test_benchmark_tracer_counts_oracle_steps(tmp_path):
+    # perfbench/tracer.py reads propagate's grid as its third positional
+    # argument or by name; the CLI passes it by name
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cfg = write_config(tmp_path, grid={"t_max": 2.0, "h": 0.01})
+    spans = tmp_path / "spans.json"
+    out = subprocess.run(
+        [sys.executable, os.path.join(root, "perfbench", "tracer.py"),
+         "--out", str(spans), "--", "oracle-compare", "--config", cfg],
+        env=src_env(), cwd=tmp_path, capture_output=True, text=True,
+        timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(spans.read_text())["counts"][
+        "oracle.propagate_steps"] == 200
+
+
 def test_benchmark_tracer_names_resolve():
     # every module, function and method perfbench/tracer.py wraps by name
     # must exist in the package
@@ -256,10 +275,18 @@ def test_oracle_compare(tmp_path, capsys):
     assert payload["n_modes"] == 400
     assert payload["t_end"] == pytest.approx(5.0)
     assert payload["max_abs_deviation"] < 1e-3
-    assert payload["trust_horizon"] > 5.0
+    assert set(payload) == {"n_modes", "t_end", "max_abs_deviation"}
 
 
-def test_oracle_compare_too_few_modes_is_config_error(tmp_path, capsys):
+def test_oracle_compare_too_few_modes_is_config_error(tmp_path, capsys,
+                                                      monkeypatch, solves):
+    # oracle.n_modes caps the chain's sites, here ceil(2.55 t + 50) with
+    # 2.55 half the bands' hull; a longer chain is refused before anything
+    # is solved or diagonalized
+    def eigh(*args):
+        raise AssertionError("eigh ran")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
     three_bands = {"kind": "tabulated",
                    "grid": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 5.1],
                    "values": [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0],
@@ -270,7 +297,9 @@ def test_oracle_compare_too_few_modes_is_config_error(tmp_path, capsys):
     code = main(["oracle-compare", "--config", cfg])
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
+    assert "needs 53 sites" in err
     assert "n_modes 2" in err
+    assert solves == []
 
 
 def test_sweep_command(tmp_path, capsys, monkeypatch):
@@ -511,6 +540,42 @@ def test_unreadable_sweep_files_are_config_errors(tmp_path, capsys,
     assert code == EXIT_CONFIG
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert path in err
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("command, key", [
+    ("evolve", "grid.h"), ("u0", "grid.t_max"), ("evolve", "drive.period"),
+    ("comb", "drive.amplitude"), ("oracle-compare", "drive.mean"),
+    ("bound-states", "spectral_density.eta"),
+    ("bound-states", "spectral_density.v0"), ("u0", "system.eps_s"),
+])
+def test_non_finite_number_is_config_error(tmp_path, capsys, monkeypatch,
+                                           command, key, value):
+    # Python's json reads NaN and Infinity, from the file and from --set
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path)
+    code = main([command, "--config", cfg, "--set", f"{key}={value}"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.err == f"config error: {key} must be a finite number\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, setting", [
+    ("evolve", "grid.t_max=1e-300"), ("evolve", "grid.h=1e300"),
+    ("u0", "grid.h=5.5"), ("sweep", "grid.t_max=1e-300"),
+    ("evolve", "grid.h=0"), ("u0", "grid.t_max=-1"),
+])
+def test_grid_without_a_step_is_config_error(tmp_path, capsys, monkeypatch,
+                                             command, setting):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, **_sweep_block())
+    code = main([command, "--config", cfg, "--set", setting])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.err.startswith("config error: grid.h ")
+    assert "must be positive and at most grid.t_max" in captured.err
+    assert os.listdir(tmp_path) == ["run.json"]
 
 
 def test_null_trace_takes_default_name(tmp_path, capsys, monkeypatch):

@@ -41,8 +41,7 @@ def _layers(tab):
         "tabulated shift": spectral._delta_tabulated(
             tab, np.linspace(-4.0, 4.0, 301)),
         "evolve": evolve(SemicircleKernel(sc), 0.0, drives[0], grid).values,
-        "oracle": oracle.propagate(oracle.discretize(sc, 301), drives[0],
-                                   grid).values,
+        "oracle": oracle.propagate(sc, 0.0, drives[0], grid).values,
         "tabulated u0": compute_u0(tab, 0.2, grid.times()),
     }
     for j, tr in enumerate(evolve(tab_kern, 0.0, drives, grid)):

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import drivenlevel
 from drivenlevel.comb import survival_metric
-from drivenlevel.config import RunConfig
+from drivenlevel.config import RunConfig, load_config
 from drivenlevel.driving import DrivingField
 from drivenlevel.errors import ConfigError
 from drivenlevel.kernel import kernel_for
@@ -305,3 +309,43 @@ def test_spec_hash_is_frozen(tmp_path):
     axes = sweep._parse_sweep(spec)[0]
     assert sweep.spec_hash(spec, axes) == (
         "472dce5ee6df5bece057fe6795d08de7d882ddc4fbdcb0c4b05b8d289a92f90a")
+
+
+def test_resume_after_sigkill_is_byte_identical(tmp_path):
+    # a real kill: the CLI, one batch per eta, is sent SIGKILL once its
+    # first batch is on disk, then resumed
+    raw = {"spectral_density": {"kind": "semicircle", "eta": 1.0},
+           "drive": {"shape": "sine", "mean": 2.5, "amplitude": 0.5,
+                     "period": 1.25},
+           "grid": {"t_max": 20.0, "h": 0.02}, "window": [10.0, 20.0],
+           "sweep": {"axes": [{"name": "eta", "values": [0.8, 0.9, 1.0, 1.1]}],
+                     "workers": 1}}
+    for run in ("whole", "killed"):
+        (tmp_path / run).mkdir()
+        raw["sweep"]["out"] = str(tmp_path / run / "s.csv")
+        (tmp_path / run / "run.json").write_text(json.dumps(raw))
+    run_sweep(load_config(str(tmp_path / "whole" / "run.json")))
+
+    src = os.path.dirname(os.path.dirname(drivenlevel.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    argv = [sys.executable, "-m", "drivenlevel.cli", "sweep",
+            "--config", str(tmp_path / "killed" / "run.json")]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, text=True)
+    try:
+        for line in proc.stderr:
+            if line.startswith("sweep: "):
+                break
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+        proc.stderr.close()
+    assert proc.returncode == -9
+    assert 0 < len(read_rows(tmp_path / "killed" / "s.csv")) < 4
+    done = subprocess.run(argv, env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    for name in ("s.csv", "s.csv.json"):
+        assert ((tmp_path / "killed" / name).read_bytes()
+                == (tmp_path / "whole" / name).read_bytes())
