@@ -15,7 +15,7 @@ _EXPORTS = {
     "comb": ("CombOverlap", "CombReport", "comb_report", "comb_reports",
              "late_window_peaks", "survival_metric"),
     "config": ("RunConfig", "load_config"),
-    "driving": ("DrivingField", "fourier_coefficients"),
+    "driving": ("DrivingField",),
     "errors": ("ConfigError", "DrivenLevelError", "GridMismatch",
                "QuadratureFailure", "StepTooLarge", "TooCloseToBandEdge",
                "WindowOutOfRange"),

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driving import fourier_coefficients
 from .errors import WindowOutOfRange
 
 WEAK_DRIVING_VALID = "weak-driving-valid"
@@ -67,8 +66,9 @@ def comb_report(bound, f, band):
     """
     energy = bound.energy
     dw = f.base_frequency
-    coeffs = fourier_coefficients(f, N_MAX)
-    present = [abs(a) + abs(b) > _COEFF_TOL for a, b in coeffs]
+    # |A_n| + |B_n| of the harmonic's sin and cos terms
+    v = f.harmonics(N_MAX)
+    present = 2.0 * (np.abs(v.real) + np.abs(v.imag)) > _COEFF_TOL
 
     overlaps = []
     for n in range(1, N_MAX + 1):

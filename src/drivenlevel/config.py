@@ -33,6 +33,7 @@ import numbers
 
 from .driving import DrivingField
 from .errors import ConfigError
+from .oscquad import check_budget
 from .spectral import Semicircle, Tabulated
 
 
@@ -198,6 +199,10 @@ class RunConfig:
         if not 0.0 < self.h <= self.t_max:
             raise ConfigError(f"grid.h {self.h:g} must be positive and at "
                               f"most grid.t_max {self.t_max:g}")
+        # the trace: one complex value a node
+        nodes = self.t_max / self.h + 1.0
+        check_budget(16.0 * nodes, f"grid.t_max / grid.h: a grid of "
+                                   f"{nodes:.3g} nodes")
 
     def require_drive(self):
         if self.drive is None:

@@ -3,7 +3,8 @@
 A field is a static mean plus a zero-mean periodic modulation.  Three shapes
 are supported: a single sine, a symmetric square wave (+A on the first half
 period, -A on the second, left-closed at the switch points), and an explicit
-harmonic series sum_n [A_n sin(n w t) + B_n cos(n w t)] with w = 2 pi / T.
+harmonic series sum_n [A_n sin(n w t) + B_n cos(n w t)] with w = 2 pi / T,
+of which a sine is the one-term case ((A, 0),).
 
 The antiderivative of the modulation is available in closed form for every
 shape; the propagation code relies on it for exact phase factors.
@@ -52,18 +53,22 @@ class DrivingField:
     def base_frequency(self):
         return 2.0 * np.pi / self.period
 
+    def _series(self):
+        """(A_n, B_n) pairs of a sine or harmonics drive."""
+        if self.shape == SINE:
+            return ((self.amplitude, 0.0),)
+        return self.coefficients
+
     def modulation(self, t):
         """Zero-mean periodic part at time(s) t."""
         t = np.asarray(t, dtype=float)
         w = self.base_frequency
-        if self.shape == SINE:
-            out = self.amplitude * np.sin(w * t)
-        elif self.shape == SQUARE:
+        if self.shape == SQUARE:
             frac = np.mod(t, self.period)
             out = np.where(frac < 0.5 * self.period, self.amplitude, -self.amplitude)
         else:
             out = np.zeros_like(t)
-            for n, (a, b) in enumerate(self.coefficients, start=1):
+            for n, (a, b) in enumerate(self._series(), start=1):
                 out = out + a * np.sin(n * w * t) + b * np.cos(n * w * t)
         if out.ndim == 0:
             return float(out)
@@ -73,9 +78,7 @@ class DrivingField:
         """Antiderivative of modulation with value 0 at t = 0 (closed form)."""
         t = np.asarray(t, dtype=float)
         w = self.base_frequency
-        if self.shape == SINE:
-            out = (self.amplitude / w) * (1.0 - np.cos(w * t))
-        elif self.shape == SQUARE:
+        if self.shape == SQUARE:
             # whole periods integrate to zero; within a period the integral
             # rises to A*T/2 then falls back
             frac = np.mod(t, self.period)
@@ -83,12 +86,26 @@ class DrivingField:
             out = self.amplitude * np.where(frac < half, frac, self.period - frac)
         else:
             out = np.zeros_like(t)
-            for n, (a, b) in enumerate(self.coefficients, start=1):
+            for n, (a, b) in enumerate(self._series(), start=1):
                 wn = n * w
                 out = out + (a / wn) * (1.0 - np.cos(wn * t)) + (b / wn) * np.sin(wn * t)
         if out.ndim == 0:
             return float(out)
         return out
+
+    def harmonics(self, n):
+        """V_1..V_n of modulation = sum_k V_k e^{-ikwt}, V_{-k} = conj V_k:
+        (B_k + i A_k) / 2 for a series (iA/2 at k = 1 for a sine), and
+        2iA/(pi k) on a square's odd k."""
+        v = np.zeros(n, dtype=complex)
+        if self.shape == SQUARE:
+            k = np.arange(1, n + 1, 2)
+            v.imag[::2] = 2.0 * self.amplitude / (k * np.pi)
+        else:
+            pairs = np.array(self._series()[:n], dtype=float).reshape(-1, 2)
+            v.real[:len(pairs)] = 0.5 * pairs[:, 1]
+            v.imag[:len(pairs)] = 0.5 * pairs[:, 0]
+        return v
 
     def max_modulation(self):
         """Peak |modulation| over one period."""
@@ -96,29 +113,3 @@ class DrivingField:
             return abs(self.amplitude)
         tt = np.linspace(0.0, self.period, 4097)
         return float(np.max(np.abs(self.modulation(tt))))
-
-
-def fourier_coefficients(f, n_max):
-    """(A_n, B_n) for n = 1..n_max of the zero-mean modulation.
-
-    Sine and square waves are returned in closed form; the square wave
-    carries 4A/(n pi) on its odd sine harmonics.  Harmonics fields echo
-    their stored coefficients (truncated or zero-padded).
-    """
-    if n_max < 1:
-        raise ConfigError(f"n_max must be >= 1, got {n_max}")
-    out = []
-    if f.shape == SINE:
-        for n in range(1, n_max + 1):
-            out.append((f.amplitude if n == 1 else 0.0, 0.0))
-    elif f.shape == SQUARE:
-        for n in range(1, n_max + 1):
-            a_n = 4.0 * f.amplitude / (n * np.pi) if n % 2 == 1 else 0.0
-            out.append((a_n, 0.0))
-    else:
-        for n in range(1, n_max + 1):
-            if n <= len(f.coefficients):
-                out.append(f.coefficients[n - 1])
-            else:
-                out.append((0.0, 0.0))
-    return out

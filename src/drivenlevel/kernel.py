@@ -109,7 +109,10 @@ class SemicircleKernel:
         a = r * max(abs(float(s.min(initial=0.0))),
                     abs(float(s.max(initial=0.0))))
         # the positive half of n = 2m nodes, each weight doubled
-        m = int(np.ceil(0.25 * a + 2.0 * np.cbrt(a) + 0.5 * _CHEB_MARGIN))
+        m = np.ceil(0.25 * a + 2.0 * np.cbrt(a) + 0.5 * _CHEB_MARGIN)
+        oscquad.check_budget(16.0 * m, f"a semicircle kernel of {m:.3g} "
+                             f"Gauss-Chebyshev nodes")
+        m = int(m)
         theta = np.arange(1, m + 1) * (np.pi / (2 * m + 1))
         w = (sd.eta * r * np.sin(theta)) ** 2 / (2 * m + 1)
         flat = s.ravel()

@@ -69,12 +69,17 @@ _NODE_FLOOR = 16
 def chain_sites(sd, span):
     """Sites of the chain the oracle builds over span, b_max * span +
     CHAIN_MARGIN: b_max = v0 for a semicircle, and for a table the bound
-    b_k <= half its bands' hull (its Lanczos may stop sooner)."""
+    b_k <= half its bands' hull (its Lanczos may stop sooner).  A chain
+    whose dense (L + 1)^2 matrix exceeds oscquad's size budget is refused
+    with a ConfigError."""
     if is_decoupled(sd):
         return 0
     b_max = sd.v0 if isinstance(sd, Semicircle) else \
         0.5 * (sd.band[-1][1] - sd.band[0][0])
-    return math.ceil(b_max * span + CHAIN_MARGIN)
+    sites = b_max * span + CHAIN_MARGIN
+    oscquad.check_budget(8.0 * (sites + 1.0) * (sites + 1.0),
+                         f"the oracle's chain of {sites:.3g} sites")
+    return math.ceil(sites)
 
 
 def _star(sd, sites):
@@ -172,10 +177,12 @@ def propagate(sd, eps_s, drive, grid):
     sd's chain, on the grid; returns a PropagatorTrace.
 
     Raises DrivenLevelError if any u is non-finite or the final norm has
-    drifted from 1 by more than NORM_SLACK.
+    drifted from 1 by more than NORM_SLACK, and ConfigError, before
+    anything is allocated, if u or the chain exceeds oscquad's size budget.
     """
-    lam, q = _eigensystem(sd, eps_s + drive.mean, grid.t_end - grid.t0)
     n = grid.n_steps
+    oscquad.check_budget(16 * (n + 1), f"a grid of {n + 1} nodes")
+    lam, q = _eigensystem(sd, eps_s + drive.mean, grid.t_end - grid.t0)
     phase_step = np.exp(-1j * grid.h * lam)
 
     psi = q.astype(complex)               # e0 in the eigenbasis

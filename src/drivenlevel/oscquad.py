@@ -21,12 +21,16 @@ double together until two levels agree on a few probe times, and one
 
 import numpy as np
 
-from .errors import QuadratureFailure
+from .errors import ConfigError, QuadratureFailure
 
 # elements per temporary complex slab (256 KB), the one working-memory size;
 # every streaming layer reads it when it runs.  Far-sum FFT pieces and
 # oracle chunks are _SLAB // 4 long, trace and SVG chunks _SLAB // 8
 _SLAB = 1 << 14
+# bytes one result may ask for, the one size budget: a trace's N + 1
+# nodes times its drives, a semicircle kernel's nodes and the oracle's
+# chain matrix are refused beyond it before anything is allocated
+_BUDGET = 1 << 30
 # below this many times the blocked split saves too little to pay off
 _BLOCKED_MIN = 64
 # uniformity tolerance in units of eps * max|t|
@@ -52,6 +56,14 @@ _GL16_W = np.array((0.027152459411754176, 0.062253523938647456,
                     0.16915651939500265, 0.1495959888165767,
                     0.12462897125553407, 0.0951585116824926,
                     0.062253523938647456, 0.027152459411754176))
+
+
+def check_budget(nbytes, what):
+    """Raise ConfigError, naming what and its size, if nbytes exceed
+    _BUDGET; nbytes may be a float, inf included."""
+    if not nbytes <= _BUDGET:
+        raise ConfigError(f"{what} needs {nbytes / 2**30:.3g} GiB, more "
+                          f"than the {_BUDGET / 2**30:g} GiB size budget")
 
 
 def _uniform_step(t):
@@ -152,7 +164,15 @@ def angle_band_integral(f, a, b, times, tol=1e-8, *, breaks=()):
     w = 0.5 * np.diff(cuts)
     tmax = float(np.max(np.abs(t)))
     # a piece spans 2 w max|t| rad of phase: about 16 rad per GL-16 panel
-    start = np.maximum(1, np.ceil(w * tmax / 8.0)).astype(int)
+    panels = np.maximum(1.0, np.ceil(w * tmax / 8.0))
+    # checked before the first level too, which a far band or a long span
+    # could make larger than any memory (NaN or inf included)
+    first = 16.0 * panels.sum()
+    if not first <= _MAX_NODES:
+        raise QuadratureFailure(
+            f"band integral needs {first:.3g} nodes at its first level, "
+            f"more than its budget of {_MAX_NODES}")
+    start = panels.astype(int)
 
     def nodes(scale):
         xs, ws = [], []

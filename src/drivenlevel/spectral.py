@@ -56,8 +56,9 @@ class Semicircle:
     """J(eps) = eta^2 sqrt((2 v0)^2 - (eps - eps0)^2) on its support.
 
     eta scales the hybridization, eps0 centers the band, v0 sets the half
-    bandwidth 2*v0.  eta = 0 is the decoupled limit and short-circuits to
-    analytic answers everywhere.
+    bandwidth 2*v0.  eta = 0 is the decoupled limit.  A density whose
+    (2 v0)^2 or total weight eta^2 v0^2 overflows, or whose band edges
+    eps0 -+ 2 v0 are not two finite floats, is refused.
     """
 
     eta: float = 1.0
@@ -69,6 +70,17 @@ class Semicircle:
             raise ConfigError(f"eta must be >= 0, got {self.eta}")
         if self.v0 <= 0.0:
             raise ConfigError(f"v0 must be positive, got {self.v0}")
+        # J and the shift square the half bandwidth; products, not powers,
+        # so that an overflow gives inf instead of raising
+        r = 2.0 * self.v0
+        if not math.isfinite(r * r):
+            raise ConfigError(f"v0 {self.v0:g} overflows: (2 v0)^2 is not "
+                              f"a float")
+        if not math.isfinite(self.eta * self.eta * self.v0 * self.v0):
+            raise ConfigError(f"eta {self.eta:g} with v0 {self.v0:g} "
+                              f"overflows: the total weight eta^2 v0^2 is "
+                              f"not a float")
+        _check_band(self.band, "eps0 -+ 2 v0")
 
     @property
     def band(self):
@@ -97,14 +109,26 @@ class Tabulated:
         if np.any(v < 0.0):
             raise ConfigError("spectral density must be nonnegative")
         band = tuple((float(lo), float(hi)) for lo, hi in self.band)
-        for lo, hi in band:
-            if hi <= lo:
-                raise ConfigError(f"empty band interval ({lo}, {hi})")
+        _check_band(band, "band")
         if any(band[i][1] > band[i + 1][0] for i in range(len(band) - 1)):
             raise ConfigError("band intervals must be disjoint and sorted")
         object.__setattr__(self, "grid", tuple(float(x) for x in g))
         object.__setattr__(self, "values", tuple(float(x) for x in v))
         object.__setattr__(self, "band", band)
+        with np.errstate(over="ignore"):
+            weight = total_weight(self)
+        if not math.isfinite(weight):
+            raise ConfigError(f"values overflow: the total weight "
+                              f"(1/2pi) int J is {weight}")
+
+
+def _check_band(band, name):
+    """Refuse band intervals whose edges are not two finite, distinct
+    floats (lo < hi), naming the field they come from."""
+    for lo, hi in band:
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ConfigError(f"{name}: band interval ({lo:g}, {hi:g}) needs "
+                              f"two finite edges lo < hi")
 
 
 @dataclass(frozen=True)
@@ -316,8 +340,6 @@ def _delta(sd, eps):
 
 def self_energy(sd, eps):
     """SelfEnergyValue at real eps: level shift and local J."""
-    if is_decoupled(sd):
-        return SelfEnergyValue(0.0, 0.0)
     delta = _delta(sd, float(eps))
     return SelfEnergyValue(float(delta), float(eval_j(sd, eps)))
 
@@ -389,6 +411,8 @@ def find_bound_states(sd, eps_on):
 
     Returns BoundState list sorted by energy (possibly empty).
     """
+    # the one decoupled answer the gap search cannot give: with J = 0 the
+    # level is bound wherever it sits, inside the band too
     if is_decoupled(sd):
         return [BoundState(float(eps_on), 1.0)]
 
@@ -490,8 +514,6 @@ def spectrum(sd, eps_on):
     the bound-state residues plus the continuum weight over 2 pi.  An
     integral that does not converge raises QuadratureFailure.
     """
-    if is_decoupled(sd):
-        return SystemSpectrum((BoundState(float(eps_on), 1.0),), 1.0)
     bound, total = _spectral_sum(sd, eps_on, np.zeros(1), 1e-10)
     return SystemSpectrum(tuple(bound), float(total[0].real))
 
@@ -508,9 +530,6 @@ def compute_u0(sd, eps_on, times):
     continuum weight the quadrature lost.
     """
     times = np.asarray(times, dtype=float)
-    if is_decoupled(sd):
-        out = np.exp(-1j * eps_on * times)
-        return out
     # every band is broken by the one rule of _spectral_sum: at its table
     # kinks, where the shift has an (x - x_k) log|x - x_k| term, and at its
     # resonance, a peak whose width shrinks like eta^2 (eta 0.01, level 0.5,

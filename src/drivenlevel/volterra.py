@@ -46,6 +46,13 @@ from . import oscquad
 from .errors import GridMismatch, StepTooLarge
 
 MAX_PHASE_PER_STEP = 0.1    # h * max|eps_s + eps_d| must stay below this
+# h * max|eps_s + eps_d - e| over the band's hull, the kernel's phase
+# against the level's, must stay below this.  Semicircle eta 1, level 2.5,
+# sine A 0.5, T 1.25, t <= 2, band moved off by eps0: |evolve - oracle| is
+# 0.080 / 0.098 / 0.118 / 2.4 of |oracle - free phase| at 1.0 / 1.1 / 1.2
+# / 10 rad a step (h 0.01), and 0.076 / 0.083 at 1.0 (0.093 / 0.100 at
+# 1.1) for h 0.02 / 0.005: 1.0 keeps it under a tenth at all three steps
+MAX_BAND_PHASE_PER_STEP = 1.0
 MIN_STEPS_PER_PERIOD = 40
 _ALIGN_ATOL = 1e-9
 # history nodes summed directly per step; earlier blocks come in by FFT.
@@ -113,13 +120,24 @@ def aligned_grid(t0, t_end, h_target, drive=None):
     return TimeGrid(float(t0), h, n)
 
 
-def _check_preconditions(eps_s, drive, grid):
+def _check_preconditions(sd, eps_s, drive, grid):
+    """Raise StepTooLarge unless h resolves the level's phase, the kernel's
+    phase against it over the hull of sd's band, and the drive."""
     h = grid.h
-    peak = abs(drive.mean + eps_s) + drive.max_modulation()
+    level = drive.mean + eps_s
+    swing = drive.max_modulation()
+    peak = abs(level) + swing
     if h * peak > MAX_PHASE_PER_STEP + 1e-12:
         raise StepTooLarge(
             f"h*max|level energy| = {h * peak:.3g} exceeds {MAX_PHASE_PER_STEP}")
-    if drive.max_modulation() > 0.0:
+    lo, hi = sd.band[0][0], sd.band[-1][1]
+    spread = abs(level - 0.5 * (lo + hi)) + 0.5 * (hi - lo) + swing
+    if h * spread > MAX_BAND_PHASE_PER_STEP + 1e-12:
+        raise StepTooLarge(
+            f"h*max|level energy - band energy| = {h * spread:.3g} exceeds "
+            f"{MAX_BAND_PHASE_PER_STEP}: the step cannot resolve the "
+            f"kernel's phase")
+    if swing > 0.0:
         if h > drive.period / MIN_STEPS_PER_PERIOD + 1e-12:
             raise StepTooLarge(
                 f"h = {h} too coarse for period {drive.period} "
@@ -197,9 +215,10 @@ def evolve(kern, eps_s, drive, grid):
     another order).
 
     kern must provide lag_samples(h, n_steps), g on the n_steps + 1 lags
-    0, h, ..., n_steps*h.  Preconditions on the step are checked up front
-    and raise StepTooLarge, and so does a non-finite value anywhere in the
-    result.
+    0, h, ..., n_steps*h, and sd, its density.  Preconditions on the step
+    are checked up front and raise StepTooLarge, and so does a non-finite
+    value anywhere in the result.  A result beyond oscquad's size budget
+    is refused with a ConfigError before anything is allocated.
 
     With x_k the h-scaled trapezoid history at t_k (endpoint excluded),
     e_k = e^{-i Phi(t_k)}, a = h g(0) / 2 and z_k = (h/2) conj(e_k) x_k,
@@ -216,10 +235,12 @@ def evolve(kern, eps_s, drive, grid):
     batched = isinstance(drive, (list, tuple))
     drives = list(drive) if batched else [drive]
     for d in drives:
-        _check_preconditions(eps_s, d, grid)
+        _check_preconditions(kern.sd, eps_s, d, grid)
     h = grid.h
     n = grid.n_steps
     p = len(drives)
+    oscquad.check_budget(16 * (n + 1) * p,
+                         f"{p} drive(s) on a grid of {n + 1} nodes")
 
     g = np.ascontiguousarray(kern.lag_samples(h, n), dtype=complex)
     if g.size != n + 1:

@@ -122,7 +122,7 @@ def test_commands_run_without_scipy(tmp_path):
 EAGER_EXPORTS = (
     "CombOverlap", "CombReport", "comb_report", "comb_reports",
     "late_window_peaks", "survival_metric", "RunConfig", "load_config",
-    "DrivingField", "fourier_coefficients", "ConfigError", "DrivenLevelError",
+    "DrivingField", "ConfigError", "DrivenLevelError",
     "GridMismatch", "QuadratureFailure", "StepTooLarge",
     "TooCloseToBandEdge", "WindowOutOfRange", "QuadratureKernel",
     "SemicircleKernel", "kernel_for", "BoundState", "SelfEnergyValue",

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from drivenlevel import oracle, oscquad, spectral
-from drivenlevel.errors import QuadratureFailure, TooCloseToBandEdge
-from drivenlevel.spectral import (BoundState, Semicircle, Tabulated,
+from drivenlevel.errors import (ConfigError, QuadratureFailure,
+                                TooCloseToBandEdge)
+from drivenlevel.spectral import (BoundState, SelfEnergyValue, Semicircle,
+                                  SystemSpectrum, Tabulated,
                                   band_spectral_function, compute_u0,
                                   eval_j, find_bound_states,
                                   self_energy, self_energy_derivative,
@@ -292,6 +294,47 @@ def test_u0_decoupled_is_pure_phase():
     t = np.linspace(0.0, 10.0, 101)
     u = compute_u0(Semicircle(eta=0.0), 1.3, t)
     assert np.max(np.abs(u - np.exp(-1.3j * t))) < 1e-14
+
+
+DECOUPLED = [Semicircle(eta=0.0),
+             Tabulated(grid=(-2.0, 0.0, 2.0), values=(0.0, 0.0, 0.0),
+                       band=((-2.0, 2.0),))]
+
+
+@pytest.mark.parametrize("sd", DECOUPLED, ids=["semicircle", "table"])
+@pytest.mark.parametrize("eps_on", [-3.1, 0.5, 1.7])
+def test_decoupled_answers_come_from_the_general_path(sd, eps_on):
+    # no decoupled branch: the level is bound with Z = 1 (in the band too),
+    # the continuum weight vanishes, and u0 is its phase alone
+    assert spectrum(sd, eps_on) == SystemSpectrum((BoundState(eps_on, 1.0),),
+                                                  1.0)
+    for e in (-2.5, -1.0, 0.3, 2.0, 4.0):
+        assert self_energy(sd, e) == SelfEnergyValue(0.0, 0.0)
+    t = np.linspace(0.0, 200.0, 20001)
+    u = compute_u0(sd, eps_on, t)
+    assert np.max(np.abs(u - np.exp(-1j * eps_on * t))) <= 2e-13
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"eta": 1e300}, "eta"), ({"eta": 1e200, "v0": 1e-100}, "eta"),
+    ({"v0": 1e300}, "v0"), ({"v0": 1e160, "eta": 1e-200}, "v0"),
+    ({"eps0": 1e300}, "eps0"), ({"eps0": -1e300}, "eps0"),
+    ({"eps0": 1.7e308, "v0": 1e150}, "eps0")])
+def test_semicircle_refuses_overflowing_scales(kwargs, field):
+    with pytest.raises(ConfigError, match=field):
+        Semicircle(**kwargs)
+
+
+def test_table_refuses_an_overflowing_weight():
+    with pytest.raises(ConfigError, match="values overflow"):
+        Tabulated(grid=(-1e300, 0.0, 1e300), values=(0.0, 1e300, 0.0),
+                  band=((-1e300, 1e300),))
+    with pytest.raises(ConfigError, match="band"):
+        Tabulated(grid=(0.0, 1.0), values=(0.0, 0.0),
+                  band=((0.0, float("inf")),))
+    # large but finite scales stay usable
+    assert total_weight(Semicircle(eta=1e50, v0=1e100)) == pytest.approx(
+        1e300, rel=1e-15)
 
 
 def test_u0_short_time_series():

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from drivenlevel import oscquad, sweep, volterra
+from drivenlevel import oracle, oscquad, sweep, volterra
 from drivenlevel.driving import DrivingField
 from drivenlevel.errors import GridMismatch, StepTooLarge
 from drivenlevel.kernel import QuadratureKernel, SemicircleKernel, kernel_for
-from drivenlevel.spectral import Semicircle, compute_u0
+from drivenlevel.spectral import Semicircle, Tabulated, compute_u0
 from drivenlevel.volterra import (_BLOCK, PropagatorTrace, TimeGrid,
                                   _check_preconditions, aligned_grid, compare,
                                   convergence_check, evolve)
@@ -17,7 +17,7 @@ def _evolve_direct(kern, eps_s, drive, grid):
     Same scheme as `evolve`, but the trapezoid history at t_{k+1} is one
     direct dot over all earlier nodes instead of the blocked FFT sum.
     """
-    _check_preconditions(eps_s, drive, grid)
+    _check_preconditions(kern.sd, eps_s, drive, grid)
     h = grid.h
     n = grid.n_steps
     t = grid.times()
@@ -188,6 +188,47 @@ def test_step_limits():
         evolve(kern, 0.0, slow_sampling, TimeGrid(0.0, 0.01, 100))
 
 
+README_DRIVE = DrivingField(mean=2.5, period=1.25, shape="sine",
+                            amplitude=0.5)
+
+
+@pytest.mark.parametrize("eps0", [1e3, -1e3, 1e8, 1e15])
+def test_band_far_from_the_level_is_refused(eps0):
+    # h max|eps(t) - e| over the band: 0.01 (|2.5 - eps0| + 2 + 0.5) is
+    # 10 rad a step at eps0 1e3, where evolve was 2.4 times the band's
+    # whole effect off the exact chain
+    kern = SemicircleKernel(Semicircle(eta=1.0, eps0=eps0))
+    with pytest.raises(StepTooLarge, match="band energy"):
+        evolve(kern, 0.0, README_DRIVE, TimeGrid(0.0, 0.01, 200))
+
+
+def test_band_phase_counts_the_hull_of_every_band():
+    # at h 0.01 the band [90, 92] alone is 0.01 (91 + 1 + 0.5) = 0.925 rad
+    # a step from the level; a second band at [108, 110] sets 1.105 rad
+    near = Tabulated(grid=(90.0, 91.0, 92.0), values=(0.0, 1.0, 0.0),
+                     band=((90.0, 92.0),))
+    both = Tabulated(grid=(90.0, 91.0, 92.0, 108.0, 109.0, 110.0),
+                     values=(0.0, 1.0, 0.0, 0.0, 1.0, 0.0),
+                     band=((90.0, 92.0), (108.0, 110.0)))
+    drive = DrivingField(mean=0.0, period=1.25, shape="sine", amplitude=0.5)
+    grid = TimeGrid(0.0, 0.01, 20)
+    evolve(QuadratureKernel(near), 0.0, drive, grid)
+    with pytest.raises(StepTooLarge, match="band energy"):
+        evolve(QuadratureKernel(both), 0.0, drive, grid)
+
+
+def test_largest_band_phase_keeps_a_tenth_of_the_band_effect():
+    # at the gate, 1 rad a step (eps0 100, h 0.01), evolve stays within a
+    # tenth of what the band does to u at all (0.080 measured)
+    sd = Semicircle(eta=1.0, eps0=100.0)
+    grid = TimeGrid(0.0, 0.01, 200)
+    u = evolve(SemicircleKernel(sd), 0.0, README_DRIVE, grid).values
+    ref = oracle.propagate(sd, 0.0, README_DRIVE, grid).values
+    t = grid.times()
+    free = np.exp(-1j * (2.5 * t + README_DRIVE.modulation_integral(t)))
+    assert np.max(np.abs(u - ref)) <= 0.1 * np.max(np.abs(ref - free))
+
+
 def test_compare_grid_mismatch():
     v = np.ones(3, dtype=complex)
     a = PropagatorTrace(TimeGrid(0.0, 0.1, 2), v)
@@ -262,6 +303,7 @@ class _NanLagKernel:
 
     def __init__(self, bad_lag):
         self.inner = SemicircleKernel(Semicircle(eta=1.0))
+        self.sd = self.inner.sd
         self.bad_lag = bad_lag
 
     def lag_samples(self, h, n):
