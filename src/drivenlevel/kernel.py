@@ -24,7 +24,7 @@ import numpy as np
 
 from . import oscquad
 from .oscquad import phase_sum
-from .spectral import Semicircle, Tabulated, _interval_nodes
+from .spectral import Semicircle, Tabulated
 
 # Gauss-Chebyshev nodes beyond n = a/2 + 4 a^{1/3}, a = 2 v0 max|s| the
 # phase range.  Max error / g(0) against the J1 closed form over
@@ -38,8 +38,9 @@ _CHEB_MARGIN = 16
 _SERIES_TERMS = 22
 
 
-def _tabulated_transform(sd, lo, hi, s):
-    """int_lo^hi J e^{-i e s} de for a piecewise-linear J, cell by cell.
+def _tabulated_transform(cells, s):
+    """int_lo^hi J e^{-i e s} de over one band [lo, hi] of a table, given
+    as its `BandCells`, for the piecewise-linear J, cell by cell.
 
     Per linear cell the integral is elementary; summed, the boundary terms
     telescope so only the endpoint values and the slope jumps survive:
@@ -58,12 +59,10 @@ def _tabulated_transform(sd, lo, hi, s):
     Term n is at most (s w)^n / n! of M_0, so _SERIES_TERMS terms reach
     roundoff.
     """
-    x, jv = _interval_nodes(sd, lo, hi)
-    b = np.diff(jv) / np.diff(x)
     # sum_k b_k (E_{k+1} - E_k) = -sum_k (b_k - b_{k-1}) E_k, with b zero
     # outside the band: one phase sum over the slope jumps
-    jumps = np.diff(np.concatenate(([0.0], b, [0.0])))
-
+    x, jv, jumps = cells.x, cells.j, cells.jump
+    lo, hi = float(x[0]), float(x[-1])
     out = np.empty(s.shape, dtype=complex)
     c = 0.5 * (lo + hi)
     small = np.abs(s) * 0.5 * (hi - lo) <= 1.0
@@ -149,8 +148,8 @@ class QuadratureKernel:
         for k0 in range(0, n + 1, slab):
             seg = out[k0:k0 + slab]
             lags = h * np.arange(k0, k0 + seg.size)
-            for lo, hi in self.sd.band:
-                seg += _tabulated_transform(self.sd, lo, hi, lags)
+            for cells in self.sd.cells:
+                seg += _tabulated_transform(cells, lags)
             seg /= 2.0 * np.pi
         return out
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import oscquad
 from .errors import DrivenLevelError
-from .spectral import Semicircle, _interval_nodes, eval_j, is_decoupled
+from .spectral import Semicircle, eval_j
 # compare is the solver's own, offered here for oracle-vs-solver checks
 from .volterra import PropagatorTrace, compare
 
@@ -72,7 +72,7 @@ def chain_sites(sd, span):
     b_k <= half its bands' hull (its Lanczos may stop sooner).  A chain
     whose dense (L + 1)^2 matrix exceeds oscquad's size budget is refused
     with a ConfigError."""
-    if is_decoupled(sd):
+    if sd.decoupled:
         return 0
     b_max = sd.v0 if isinstance(sd, Semicircle) else \
         0.5 * (sd.band[-1][1] - sd.band[0][0])
@@ -91,12 +91,12 @@ def _star(sd, sites):
     from numpy.polynomial.legendre import leggauss
 
     energies, weights = [], []
-    for lo, hi in sd.band:
-        x = _interval_nodes(sd, lo, hi)[0]
+    for (lo, hi), band in zip(sd.band, sd.cells):
+        x = band.x
         cdf = np.arccos(np.clip((lo + hi - 2.0 * x) / (hi - lo), -1.0, 1.0))
         m = np.minimum(sites + 1, _NODE_FLOOR + np.ceil(
             _NODES_PER_SITE * (sites + 1) * np.diff(cdf) / np.pi).astype(int))
-        half = 0.5 * np.diff(x)
+        half = 0.5 * band.width
         for k in np.unique(m):
             t, w = leggauss(k)
             cells = m == k

@@ -9,10 +9,13 @@ weight, and the free survival amplitude u0(t).
 
 Two J variants are provided: a semicircle band, for which Delta and the
 propagator kernel have closed forms, and a tabulated J on a grid, linear
-between nodes, whose Delta is summed exactly cell by cell.  Levels are
-found by bisection on closed-form brackets, so numpy is the only
-dependency.  hbar = 1; the system's bare energy is absorbed into eps_on by
-the callers.
+between nodes, whose Delta is summed exactly cell by cell.  A density
+builds what follows from its fields once, when it is made: its total
+weight and decoupled flag, and a table's cells (per band the nodes, J
+there, the widths, slopes and slope jumps), which the shift, the kernel
+and the oracle read.  Levels are found by bisection on closed-form
+brackets, so numpy is the only dependency.  hbar = 1; the system's bare
+energy is absorbed into eps_on by the callers.
 
 The sum rule and u0 are one spectral sum, `_spectral_sum`: the bound
 states' Z e^{-iEt} plus (1/2pi) times one `oscquad.angle_band_integral`
@@ -35,6 +38,7 @@ level in the band at eta 0.05 / 0.02 / 0.01 / 0.005 ends at 3 264 /
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +62,8 @@ class Semicircle:
     eta scales the hybridization, eps0 centers the band, v0 sets the half
     bandwidth 2*v0.  eta = 0 is the decoupled limit.  A density whose
     (2 v0)^2 or total weight eta^2 v0^2 overflows, or whose band edges
-    eps0 -+ 2 v0 are not two finite floats, is refused.
+    eps0 -+ 2 v0 are not two finite floats, is refused.  Built with it:
+    weight, (1/2pi) int J = eta^2 v0^2, and decoupled, eta = 0.
     """
 
     eta: float = 1.0
@@ -81,6 +86,9 @@ class Semicircle:
                               f"overflows: the total weight eta^2 v0^2 is "
                               f"not a float")
         _check_band(self.band, "eps0 -+ 2 v0")
+        # the powers cannot raise once the products above are finite
+        object.__setattr__(self, "weight", self.eta ** 2 * self.v0 ** 2)
+        object.__setattr__(self, "decoupled", self.eta == 0.0)
 
     @property
     def band(self):
@@ -88,11 +96,20 @@ class Semicircle:
         return ((self.eps0 - r, self.eps0 + r),)
 
 
+# one band of a table cut into linear cells at its interior grid nodes: the
+# nodes x = [lo, interior nodes, hi], J there, each cell's width and slope,
+# and the slope jump at each node (the slope is zero outside the band)
+BandCells = namedtuple("BandCells", "x j width slope jump")
+
+
 @dataclass(frozen=True)
 class Tabulated:
     """J given by samples on a strictly ascending grid, linear in between.
 
     band lists the closed support interval(s); J is zero outside them.
+    The tuples are the fields.  Built from them once, read-only: cells,
+    one BandCells per band; grid_array and values_array, the table as
+    floats; weight, (1/2pi) int J; decoupled, every value 0.
     """
 
     grid: tuple
@@ -100,8 +117,8 @@ class Tabulated:
     band: tuple
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+        g = np.array(self.grid, dtype=float)
+        v = np.array(self.values, dtype=float)
         if g.ndim != 1 or g.size < 2 or v.shape != g.shape:
             raise ConfigError("grid and values must be matching 1-d sequences")
         if np.any(np.diff(g) <= 0.0):
@@ -115,11 +132,27 @@ class Tabulated:
         object.__setattr__(self, "grid", tuple(float(x) for x in g))
         object.__setattr__(self, "values", tuple(float(x) for x in v))
         object.__setattr__(self, "band", band)
+        cells = []
         with np.errstate(over="ignore"):
-            weight = total_weight(self)
+            for lo, hi in band:
+                x = np.concatenate(([lo], g[(g > lo) & (g < hi)], [hi]))
+                j = np.interp(x, g, v, left=0.0, right=0.0)
+                width = np.diff(x)
+                slope = np.diff(j) / width
+                jump = np.diff(np.concatenate(([0.0], slope, [0.0])))
+                cells.append(BandCells(x, j, width, slope, jump))
+            # trapezoid over the table nodes is exact for the interpolant
+            weight = sum(float(np.trapezoid(c.j, c.x))
+                         for c in cells) / (2.0 * np.pi)
         if not math.isfinite(weight):
             raise ConfigError(f"values overflow: the total weight "
                               f"(1/2pi) int J is {weight}")
+        for array in (g, v, *(a for c in cells for a in c)):
+            array.flags.writeable = False
+        for name, value in (("cells", tuple(cells)), ("grid_array", g),
+                            ("values_array", v), ("weight", weight),
+                            ("decoupled", not v.any())):
+            object.__setattr__(self, name, value)
 
 
 def _check_band(band, name):
@@ -158,13 +191,6 @@ class SystemSpectrum:
     sum_rule: float
 
 
-def is_decoupled(sd):
-    """True when J vanishes identically (no reservoir coupling)."""
-    if isinstance(sd, Semicircle):
-        return sd.eta == 0.0
-    return all(v == 0.0 for v in sd.values)
-
-
 def eval_j(sd, eps):
     """Spectral density at eps (vectorized, zero outside the band)."""
     eps = np.asarray(eps, dtype=float)
@@ -174,7 +200,7 @@ def eval_j(sd, eps):
         out = sd.eta ** 2 * np.sqrt(np.maximum(r * r - x * x, 0.0))
         out = np.where(np.abs(x) <= r, out, 0.0)
     else:
-        out = np.interp(eps, sd.grid, sd.values, left=0.0, right=0.0)
+        out = np.interp(eps, sd.grid_array, sd.values_array, 0.0, 0.0)
         mask = np.zeros(eps.shape, dtype=bool)
         for lo, hi in sd.band:
             mask |= (eps >= lo) & (eps <= hi)
@@ -184,40 +210,38 @@ def eval_j(sd, eps):
     return out
 
 
-def total_weight(sd):
-    """(1/2pi) integral of J; equals the t=0 memory-kernel value."""
-    if isinstance(sd, Semicircle):
-        return sd.eta ** 2 * sd.v0 ** 2
-    # trapezoid over the table nodes is exact for the interpolant
-    total = 0.0
-    for lo, hi in sd.band:
-        x, jv = _interval_nodes(sd, lo, hi)
-        total += float(np.trapezoid(jv, x))
-    return total / (2.0 * np.pi)
-
-
 def _nearest_edge_distance(sd, eps):
     edges = [e for lohi in sd.band for e in lohi]
     return min(abs(eps - e) for e in edges)
 
 
+def _off_band_root(ax, r):
+    """sqrt(x^2 - r^2) / |x| at ax = |x| >= r, as
+    sqrt((|x| - r)/|x| * (1 + r/|x|)): |x| - r is exact near an edge, and
+    nothing squares x, so it keeps full precision near the band and far
+    from it (x^2 overflows past |x| ~ 1.3e154)."""
+    return np.sqrt((ax - r) / ax * (1.0 + r / ax))
+
+
 def _delta_semicircle(sd, eps):
-    """Closed-form level shift; linear inside the band, decaying outside."""
+    """Closed-form level shift; linear inside the band, decaying outside.
+
+    Off the band x - sign(x) sqrt(x^2 - r^2) cancels (it gives 7.45e-9 at
+    x = 1e8, not 1e-8) and x^2 overflows, so it is taken as
+    sign(x) (eta^2/2) r (r/|x|) / (1 + s), s = `_off_band_root`: within
+    4e-16 of a 700-digit value from 1e-9 past an edge out to |x| = 1e300,
+    and finite out to the largest float.
+    """
     x = np.asarray(eps, dtype=float) - sd.eps0
     r = 2.0 * sd.v0
     half = 0.5 * sd.eta ** 2
-    outside = half * (x - np.sign(x) * np.sqrt(np.maximum(x * x - r * r, 0.0)))
+    # at r inside the band, where the value is not used
+    ax = np.maximum(np.abs(x), r)
+    outside = np.sign(x) * half * r * (r / ax) / (1.0 + _off_band_root(ax, r))
     out = np.where(np.abs(x) <= r, half * x, outside)
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def _interval_nodes(sd, lo, hi):
-    grid = np.asarray(sd.grid, dtype=float)
-    inner = grid[(grid > lo) & (grid < hi)]
-    nodes = np.concatenate(([lo], inner, [hi]))
-    return nodes, eval_j(sd, nodes)
 
 
 def _excess(s):
@@ -257,10 +281,7 @@ def _delta_tabulated(sd, eps):
     eps = np.asarray(eps, dtype=float)
     flat = eps.ravel()
     total = np.zeros(flat.size)
-    for lo, hi in sd.band:
-        x, jv = _interval_nodes(sd, lo, hi)
-        dx = np.diff(x)
-        b = np.diff(jv) / dx
+    for (lo, hi), (x, jv, dx, b, _) in zip(sd.band, sd.cells):
         shift = np.sum(b * dx)
         step = max(1, oscquad._SLAB // x.size)
         inside = (flat >= lo) & (flat <= hi)
@@ -311,14 +332,10 @@ def _delta_tabulated_derivative(sd, eps):
     jump.
     """
     total = 0.0
-    for lo, hi in sd.band:
-        x, jv = _interval_nodes(sd, lo, hi)
-        dx = np.diff(x)
-        b = np.diff(jv) / dx
+    for (lo, hi), (x, jv, dx, b, jumps) in zip(sd.band, sd.cells):
         ends = jv[0] / (eps - lo) - jv[-1] / (eps - hi)
         hit = np.flatnonzero(x == eps)
         if hit.size:
-            jumps = np.diff(np.concatenate(([0.0], b, [0.0])))
             if jumps[hit[0]] != 0.0:
                 return -math.copysign(math.inf, jumps[hit[0]])
             rest = np.delete(np.arange(x.size), hit[0])
@@ -352,7 +369,7 @@ def self_energy_derivative(sd, eps):
     logarithmically, at an interior node where its slope jumps; exactly
     at such a node it is the signed infinity of that divergence.
     """
-    if is_decoupled(sd):
+    if sd.decoupled:
         return 0.0
     eps = float(eps)
     dist = _nearest_edge_distance(sd, eps)
@@ -365,7 +382,9 @@ def self_energy_derivative(sd, eps):
         half = 0.5 * sd.eta ** 2
         if abs(x) <= r:
             return half
-        return half * (1.0 - abs(x) / math.sqrt(x * x - r * r))
+        # half (1 - |x| / sqrt(x^2 - r^2)), with q = r/|x|, rationalized
+        q, s = r / abs(x), float(_off_band_root(abs(x), r))
+        return -half * q * q / (s * (1.0 + s))
     return _delta_tabulated_derivative(sd, eps)
 
 
@@ -405,7 +424,8 @@ def find_bound_states(sd, eps_on):
     refined by bisection to TOL_ROOT.  The unbounded gaps get a closed-form
     bracket: off the band |Delta(eps)| <= g0 / dist(eps, band), with g0 the
     total weight, so phi changes sign within reach = sqrt(g0) + 1 past
-    max(eps_on, band top) (or below min(eps_on, band bottom)).  Roots
+    max(eps_on, band top) (or below min(eps_on, band bottom)), or one
+    float past it where reach is below the float spacing there.  Roots
     inside EDGE_COLLAR of an edge are discarded as spurious.  Residues are
     1/(1 - Delta'(eps_l)).
 
@@ -413,17 +433,25 @@ def find_bound_states(sd, eps_on):
     """
     # the one decoupled answer the gap search cannot give: with J = 0 the
     # level is bound wherever it sits, inside the band too
-    if is_decoupled(sd):
+    if sd.decoupled:
         return [BoundState(float(eps_on), 1.0)]
 
     def phi(e):
         return e - eps_on - _delta(sd, e)
 
-    reach = math.sqrt(total_weight(sd)) + 1.0
+    def past(e, step):
+        # e + step, or the next float beyond e where step rounds away
+        if e + step != e:
+            return e + step
+        return math.nextafter(e, math.copysign(math.inf, step))
+
+    reach = math.sqrt(sd.weight) + 1.0
     roots = []
     for lo, hi in _gap_regions(sd):
-        a = lo + EDGE_COLLAR if np.isfinite(lo) else min(eps_on, hi) - reach
-        b = hi - EDGE_COLLAR if np.isfinite(hi) else max(eps_on, lo) + reach
+        a = (lo + EDGE_COLLAR if np.isfinite(lo)
+             else past(min(eps_on, hi), -reach))
+        b = (hi - EDGE_COLLAR if np.isfinite(hi)
+             else past(max(eps_on, lo), reach))
         if not phi(a) < 0.0 < phi(b):
             continue
         root = _bisect(phi, a, b, TOL_ROOT)
@@ -439,8 +467,10 @@ def band_spectral_function(sd, eps_on, eps):
     eps = np.asarray(eps, dtype=float)
     j = np.asarray(eval_j(sd, eps))
     delta = np.asarray(_delta(sd, eps))
-    denom = (eps - eps_on - delta) ** 2 + 0.25 * j * j
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a level far off the band squares to inf, and the weight to its
+    # limit 0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        denom = (eps - eps_on - delta) ** 2 + 0.25 * j * j
         out = np.where(j > 0.0, j / denom, 0.0)
     if out.ndim == 0:
         return float(out)
@@ -465,9 +495,9 @@ def _band_resonances(sd, eps_on):
     return sorted(pts)
 
 
-def _table_breaks(sd, lo, hi):
-    """Interior table nodes of the band [lo, hi], where the continuum weight
-    has its kinks; none for a semicircle.
+def _table_breaks(sd, i):
+    """Interior table nodes of band i, where the continuum weight has its
+    kinks; none for a semicircle.
 
     A band of more than _MAX_PIECES cells would pay a GL-16 panel per cell,
     so it keeps only the node at or above each angle k pi / _MAX_PIECES of
@@ -479,7 +509,7 @@ def _table_breaks(sd, lo, hi):
     """
     if isinstance(sd, Semicircle):
         return np.empty(0)
-    x = _interval_nodes(sd, lo, hi)[0]
+    (lo, hi), x = sd.band[i], sd.cells[i].x
     if x.size - 1 <= _MAX_PIECES:
         return x[1:-1]
     phi = np.pi * np.arange(1, _MAX_PIECES) / _MAX_PIECES
@@ -500,8 +530,8 @@ def _spectral_sum(sd, eps_on, times, tol):
                     times)
     f = lambda e: band_spectral_function(sd, eps_on, e)
     resonances = _band_resonances(sd, eps_on)
-    for lo, hi in sd.band:
-        breaks = np.concatenate((resonances, _table_breaks(sd, lo, hi)))
+    for i, (lo, hi) in enumerate(sd.band):
+        breaks = np.concatenate((resonances, _table_breaks(sd, i)))
         out += (angle_band_integral(f, lo, hi, times, tol=tol, breaks=breaks)
                 / (2.0 * np.pi))
     return bound, out

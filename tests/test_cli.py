@@ -601,3 +601,62 @@ def test_bad_step_is_numerical_error(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == EXIT_NUMERICAL
     assert "StepTooLarge" in err
+
+
+def _table(**changes):
+    return {"spectral_density": {**TRIANGLE, **changes}}
+
+
+def _sweep_csv(rows):
+    """A sweep CSV over one period axis, with its header and rows."""
+    header = ",".join(["period", *sweep._BASE_COLUMNS])
+    return "\n".join([header, *rows]) + "\n"
+
+
+@pytest.mark.parametrize("command, block, argv, files, message", [
+    ("bound-states", _table(values=[0.0, 1.0]), [], {},
+     "grid and values must be matching 1-d sequences"),
+    ("bound-states", _table(grid=[0.0], values=[0.0]), [], {},
+     "grid and values must be matching 1-d sequences"),
+    ("bound-states", _table(grid=[-2.0, 1.0, 0.5]), [], {},
+     "grid must be strictly ascending"),
+    ("bound-states", _table(band=[[-2.0, 0.5], [0.0, 2.0]]), [], {},
+     "band intervals must be disjoint and sorted"),
+    ("bound-states", _table(band=[[0.5, 2.0], [-2.0, 0.0]]), [], {},
+     "band intervals must be disjoint and sorted"),
+    ("bound-states", {}, ["--set", "grid.h"], {},
+     "override 'grid.h' is not KEY=VALUE"),
+    ("bound-states", {}, [], {"run.json": "{bad"},
+     "config {cfg} is not valid JSON: "),
+    ("bound-states", {"spectral_density": {"kind": "lorentz"}}, [], {},
+     "unknown spectral density kind 'lorentz'"),
+    ("bound-states", {"spectral_density": 5}, [], {},
+     "spectral_density must be an object"),
+    ("evolve", {"grid": {"t_max": 5.0}}, [], {},
+     "this command needs grid.t_max and grid.h"),
+    ("sweep", _sweep_block(out=""), [], {}, "sweep.out must be a file name"),
+    ("sweep", {**_sweep_block(), "window": None}, [], {},
+     "sweep needs a window [t1, t2]"),
+    ("sweep", _sweep_block(), [], {"sweep.csv": "a,b\n1,2\n"},
+     "sweep.csv header does not match this sweep"),
+    ("sweep", _sweep_block(), [],
+     {"sweep.csv": _sweep_csv(["1.25,0,0,0,0,ok", "1.5,0,0,0,0,ok"])},
+     "sweep.csv holds 2 rows but the sweep has only 1 points"),
+], ids=["table-lengths", "table-one-node", "table-descending",
+        "table-overlap", "table-unsorted", "override-without-equals",
+        "invalid-json", "unknown-kind", "density-not-object",
+        "grid-without-h", "sweep-empty-out", "sweep-no-window",
+        "sweep-header", "sweep-extra-rows"])
+def test_refusal_exits_with_one_config_error_line(
+        tmp_path, capsys, monkeypatch, command, block, argv, files, message):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, **block)
+    for name, content in files.items():
+        (tmp_path / name).write_text(content)
+    code = main([command, "--config", cfg, *argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.err.startswith("config error: "
+                                   + message.format(cfg=cfg))
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""

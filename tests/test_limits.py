@@ -176,10 +176,6 @@ def _must_refuse(kind, command, setting):
         setting.get("grid.t_max") == 1e300 or setting.get("grid.h") == 1e-300)
 
 
-# a level at 1e300 overflows inside the semicircle shift's far field (a
-# known defect of `_delta_semicircle`, see ROADMAP item 12); this test
-# asserts exit codes, not that field
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_fuzzed_extremes_exit_cleanly(tmp_path, capsys, monkeypatch):
     # every draw ends in exit 0, 2 or 3 with one line on stderr, never a
     # traceback, and an overflowing density or an oversized grid in exit 2

@@ -6,7 +6,7 @@ from drivenlevel.driving import DrivingField
 from drivenlevel.errors import DrivenLevelError, GridMismatch
 from drivenlevel.kernel import SemicircleKernel, kernel_for
 from drivenlevel.spectral import (Semicircle, Tabulated, eval_j,
-                                  find_bound_states, total_weight)
+                                  find_bound_states)
 from drivenlevel.volterra import TimeGrid, evolve
 
 
@@ -60,7 +60,7 @@ def test_static_hamiltonian_layout():
     assert H[0, 0] == 1.5
     assert np.array_equal(H, H.T)
     assert np.array_equal(H, np.triu(np.tril(H, 1), -1))    # tridiagonal
-    assert H[0, 1] ** 2 == pytest.approx(total_weight(sd), rel=1e-15)
+    assert H[0, 1] ** 2 == pytest.approx(sd.weight, rel=1e-15)
     assert np.all(np.diag(H, 1) > 0.0)
     # Lanczos on a star smaller than the light cone stops at the whole star
     e, c = _gauss_star(sd, 12)

@@ -1,6 +1,8 @@
 import ast
+import dataclasses
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 import time
@@ -17,7 +19,7 @@ from drivenlevel.spectral import (BoundState, SelfEnergyValue, Semicircle,
                                   band_spectral_function, compute_u0,
                                   eval_j, find_bound_states,
                                   self_energy, self_energy_derivative,
-                                  spectrum, total_weight)
+                                  spectrum)
 
 
 def make_tabulated(eta=1.0, eps0=0.0, v0=1.0, n=4001):
@@ -49,11 +51,90 @@ def test_j_band_support():
 
 def test_total_weight_closed_form():
     sd = Semicircle(eta=1.3, v0=0.7)
-    assert total_weight(sd) == pytest.approx(1.3 ** 2 * 0.7 ** 2, rel=1e-13)
+    assert sd.weight == pytest.approx(1.3 ** 2 * 0.7 ** 2, rel=1e-13)
     # the linear interpolant of a concave arc sits slightly low, so the
     # tabulated weight lands ~1e-5 below the closed form at this resolution
     sc, tab = make_tabulated(eta=1.3, v0=0.7)
-    assert total_weight(tab) == pytest.approx(total_weight(sc), rel=3e-5)
+    assert tab.weight == pytest.approx(sc.weight, rel=3e-5)
+
+
+def _reference_cells(sd):
+    """A table's cells as every caller used to rebuild them: per band the
+    nodes [lo, interior grid nodes, hi] and J there interpolated from the
+    tuples, then widths, slopes and slope jumps by np.diff; and the weight,
+    the trapezoid sum over them."""
+    grid = np.asarray(sd.grid, dtype=float)
+    cells, weight = [], 0.0
+    for lo, hi in sd.band:
+        x = np.concatenate(([lo], grid[(grid > lo) & (grid < hi)], [hi]))
+        jv = np.interp(x, sd.grid, sd.values, left=0.0, right=0.0)
+        dx = np.diff(x)
+        b = np.diff(jv) / dx
+        jumps = np.diff(np.concatenate(([0.0], b, [0.0])))
+        cells.append((x, jv, dx, b, jumps))
+        weight += float(np.trapezoid(jv, x))
+    return cells, weight / (2.0 * np.pi)
+
+
+def _same_cells(sd, other):
+    """True when sd's cells and weight equal other's bit for bit."""
+    cells, weight = other
+    return (len(sd.cells) == len(cells) and sd.weight == weight
+            and all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                    for mine, theirs in zip(sd.cells, cells)
+                    for a, b in zip(mine, theirs)))
+
+
+def test_table_cells_match_the_per_call_construction(kinked_two_band):
+    # a band reaching past the grid takes J = 0 at its outer edge
+    beyond = Tabulated((-1.0, 0.0, 1.0), (0.5, 1.0, 0.25), ((-2.0, 1.5),))
+    tables = [kinked_two_band, two_band_table(), make_tabulated(n=4001)[1],
+              beyond]
+    for sd in tables:
+        assert _same_cells(sd, _reference_cells(sd))
+        assert not sd.decoupled
+    assert beyond.cells[0].j.tolist() == [0.0, 0.5, 1.0, 0.25, 0.0]
+    # a density is immutable, and so is what is built with it
+    with pytest.raises(ValueError, match="read-only"):
+        kinked_two_band.cells[0].slope[0] = 1.0
+
+
+def test_density_facts_survive_a_pickle_round_trip(kinked_two_band):
+    # sweep workers receive the density pickled
+    for sd in (kinked_two_band, Semicircle(eta=0.8, v0=1.2)):
+        again = pickle.loads(pickle.dumps(sd))
+        assert again == sd and hash(again) == hash(sd)
+        assert (again.weight, again.decoupled) == (sd.weight, sd.decoupled)
+    again = pickle.loads(pickle.dumps(kinked_two_band))
+    assert _same_cells(again, (kinked_two_band.cells, kinked_two_band.weight))
+    eps = np.linspace(-4.0, 4.0, 33)
+    assert np.array_equal(spectral._delta(again, eps),
+                          spectral._delta(kinked_two_band, eps))
+
+
+def test_replace_rebuilds_the_density_facts(kinked_two_band):
+    sd = dataclasses.replace(Semicircle(eta=1.3, v0=0.7), eta=0.5)
+    assert sd.weight == 0.5 ** 2 * 0.7 ** 2
+    off = dataclasses.replace(sd, eta=0.0)
+    assert off.decoupled and off.weight == 0.0 and not sd.decoupled
+    half = dataclasses.replace(
+        kinked_two_band, values=tuple(0.5 * v for v in kinked_two_band.values))
+    assert _same_cells(half, _reference_cells(half))
+    assert half.weight == pytest.approx(0.5 * kinked_two_band.weight,
+                                        rel=1e-15)
+    zero = dataclasses.replace(half, values=(0.0,) * len(half.values))
+    assert zero.decoupled and zero.weight == 0.0
+
+
+def test_equal_tables_compare_and_hash_equal(kinked_two_band):
+    sd = kinked_two_band
+    again = Tabulated(list(sd.grid), np.asarray(sd.values),
+                      [list(b) for b in sd.band])
+    assert again == sd and hash(again) == hash(sd) and len({sd, again}) == 1
+    # only the fields are the density: its repr and dict leave out what is
+    # built from them
+    assert list(dataclasses.asdict(again)) == ["grid", "values", "band"]
+    assert "cells" not in repr(again)
 
 
 def test_level_shift_closed_form():
@@ -67,6 +148,40 @@ def test_level_shift_closed_form():
     assert self_energy_derivative(sd, 0.3) == pytest.approx(0.5, abs=1e-12)
     assert self_energy_derivative(sd, 2.9) == pytest.approx(-4.0 / 21.0,
                                                             abs=1e-10)
+
+
+FAR = (2.000001, 3.0, 10.0, 1e8, 1e20, 1e154, 1e300)
+
+
+def test_semicircle_shift_off_the_band_keeps_full_precision():
+    # x - sqrt(x^2 - r^2) cancelled (Delta(1e8) was 7.45e-9, Delta(1e20)
+    # 0) and x^2 overflowed (Delta(1e300) was -inf); just off the edge
+    # Delta lost 1e-14 and its slope 1e-9.  700 digits resolve r^2
+    # against x^2 at 1e300
+    mp = pytest.importorskip("mpmath")
+    sd = Semicircle(eta=1.0)
+    with mp.workdps(700):
+        for eps in FAR + tuple(-e for e in FAR):
+            x = mp.mpf(eps)
+            want = (x - mp.sign(x) * mp.sqrt(x * x - 4)) / 2
+            want_slope = (1 - abs(x) / mp.sqrt(x * x - 4)) / 2
+            got = spectral._delta(sd, eps)
+            assert abs(got - want) <= 1e-15 * abs(want), eps
+            # past 1e150 the slope, about -2/x^2, is subnormal or 0
+            if abs(eps) < 1e150:
+                slope = self_energy_derivative(sd, eps)
+                assert abs(slope - want_slope) <= 1e-15 * abs(want_slope)
+
+
+@pytest.mark.parametrize("eps_on", [1e8, 1e20, 1e160, 1e300])
+def test_far_level_keeps_its_bound_state(eps_on):
+    # eps_on + reach rounds to eps_on past 1e16, where the bracket end
+    # used to sit on the level and find nothing; past 1.3e154 the shift
+    # overflowed and put a state at 1.34e154 with Z = 2
+    for level in (eps_on, -eps_on):
+        state, = find_bound_states(Semicircle(eta=1.0), level)
+        assert state.energy == pytest.approx(level, rel=1e-15)
+        assert abs(state.residue - 1.0) <= 1e-12
 
 
 def test_level_shift_odd_symmetry():
@@ -104,8 +219,8 @@ def _tabulated_shift_slope_mp(sd, eps):
     with mp.workdps(40):
         e = mp.mpf(eps)
         total = mp.mpf(0)
-        for lo, hi in sd.band:
-            x, jv = spectral._interval_nodes(sd, lo, hi)
+        for band in sd.cells:
+            x, jv = band.x, band.j
             for x0, x1, j0, j1 in zip(x[:-1], x[1:], jv[:-1], jv[1:]):
                 x0, x1, j0, j1 = map(mp.mpf, (x0, x1, j0, j1))
                 b = (j1 - j0) / (x1 - x0)
@@ -139,8 +254,7 @@ def test_tabulated_derivative_at_a_node_is_signed_infinity():
     # like -jump * log|e - x_j| at a node x_j where the slope jumps
     tb = two_band_table()
     for eps in (2.2, 1.4, -2.0):
-        x, jv = spectral._interval_nodes(
-            tb, *next(b for b in tb.band if b[0] < eps < b[1]))
+        x, jv = next((c.x, c.j) for c in tb.cells if c.x[0] < eps < c.x[-1])
         slopes = np.diff(jv) / np.diff(x)
         j = int(np.flatnonzero(x == eps)[0])
         want = -np.sign(slopes[j] - slopes[j - 1]) * np.inf
@@ -333,7 +447,7 @@ def test_table_refuses_an_overflowing_weight():
         Tabulated(grid=(0.0, 1.0), values=(0.0, 0.0),
                   band=((0.0, float("inf")),))
     # large but finite scales stay usable
-    assert total_weight(Semicircle(eta=1e50, v0=1e100)) == pytest.approx(
+    assert Semicircle(eta=1e50, v0=1e100).weight == pytest.approx(
         1e300, rel=1e-15)
 
 
@@ -341,7 +455,7 @@ def test_u0_short_time_series():
     # u0 ~ 1 - i*eps_on*t - (eps_on^2 + g(0)) t^2/2 for small t
     sd = Semicircle(eta=1.0)
     eps_on = 2.5
-    g0 = total_weight(sd)
+    g0 = sd.weight
     t = np.array([0.0, 1e-3, 2e-3, 5e-3])
     u = compute_u0(sd, eps_on, t)
     series = 1.0 - 1j * eps_on * t - 0.5 * (eps_on ** 2 + g0) * t ** 2
@@ -420,8 +534,8 @@ def test_tabulated_shift_matches_plain_cell_sum(make):
     sd = make()
     eps = np.concatenate([np.linspace(-4.0, 4.0, 257), np.asarray(sd.grid)])
     want = np.zeros(eps.size)
-    for lo, hi in sd.band:
-        x, jv = spectral._interval_nodes(sd, lo, hi)
+    for (lo, hi), band in zip(sd.band, sd.cells):
+        x, jv = band.x, band.j
         dx = np.diff(x)
         b = np.diff(jv) / dx
         e = eps[:, None]
@@ -446,8 +560,8 @@ def _tabulated_shift_mp(sd, eps):
     with mp.workdps(40):
         e = mp.mpf(eps)
         total = mp.mpf(0)
-        for lo, hi in sd.band:
-            x, jv = spectral._interval_nodes(sd, lo, hi)
+        for band in sd.cells:
+            x, jv = band.x, band.j
             for x0, x1, j0, j1 in zip(x[:-1], x[1:], jv[:-1], jv[1:]):
                 x0, x1, j0, j1 = map(mp.mpf, (x0, x1, j0, j1))
                 b = (j1 - j0) / (x1 - x0)
@@ -542,13 +656,13 @@ def test_sum_rule_continuum_of_a_kinked_band(monkeypatch):
 
 def test_table_breaks_are_thinned_table_nodes():
     (lo, hi), = Semicircle(eta=1.0).band
-    assert spectral._table_breaks(Semicircle(eta=1.0), lo, hi).size == 0
+    assert spectral._table_breaks(Semicircle(eta=1.0), 0).size == 0
     sd = two_band_table()
-    assert list(spectral._table_breaks(sd, 1.0, 3.0)) == [1.4, 2.2]
+    assert list(spectral._table_breaks(sd, 1)) == [1.4, 2.2]
     # a dense table keeps at most _MAX_PIECES - 1 of its nodes, crowded
     # toward the edges
     _, tab = make_tabulated(n=4001)
-    breaks = spectral._table_breaks(tab, lo, hi)
+    breaks = spectral._table_breaks(tab, 0)
     assert breaks.size == spectral._MAX_PIECES - 1
     assert np.all(np.isin(breaks, tab.grid))
     assert np.all((breaks > lo) & (breaks < hi))
