@@ -55,10 +55,6 @@ class CombReport:
     reliability: str
 
 
-def _in_band(energy, intervals):
-    return any(lo <= energy <= hi for lo, hi in intervals)
-
-
 def comb_report(bound, f, band):
     """Survival verdict for one BoundState under a periodic drive.
 
@@ -75,7 +71,7 @@ def comb_report(bound, f, band):
         order = 1 if present[n - 1] else n
         for sign in (+1, -1):
             shifted = energy + sign * n * dw
-            if _in_band(shifted, band):
+            if any(lo <= shifted <= hi for lo, hi in band):
                 overlaps.append(CombOverlap(n, sign, float(shifted), order))
     min_order = min((o.order for o in overlaps), default=None)
     prediction = DISSIPATES if overlaps else SURVIVES

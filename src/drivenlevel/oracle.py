@@ -44,7 +44,7 @@ from . import oscquad
 from .errors import DrivenLevelError
 from .spectral import Semicircle, eval_j
 # compare is the solver's own, offered here for oracle-vs-solver checks
-from .volterra import PropagatorTrace, compare
+from .volterra import PropagatorTrace, _non_finite_node, compare
 
 # |psi|^2 drift allowed at the end of a run: the README run (20 000 steps)
 # drifts by 1.5e-12, so this leaves more than two decades of headroom
@@ -199,11 +199,9 @@ def propagate(sd, eps_s, drive, grid):
             u[lo + k + 1] = reads[k] * amp
             psi += (kicks[k] * amp) * q
 
-    bad = ~np.isfinite(u)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise DrivenLevelError(f"oracle: non-finite u at node {k} "
-                               f"(t = {grid.times(k, k + 1)[0]:.6g})")
+    where = _non_finite_node(u, grid)
+    if where:
+        raise DrivenLevelError(f"oracle: non-finite u at {where}")
     drift = abs(np.vdot(psi, psi).real - 1.0)
     if not drift <= NORM_SLACK:
         raise DrivenLevelError(

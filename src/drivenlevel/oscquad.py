@@ -152,7 +152,8 @@ def angle_band_integral(f, a, b, times, tol=1e-8, *, breaks=()):
     all pieces then double together until two successive levels agree on
     a few probe times, and one phase sum over every piece's nodes gives the
     result.  f is called once per level on all pieces' nodes.  A band that
-    needs more than _MAX_NODES nodes raises QuadratureFailure.
+    needs more than _MAX_NODES nodes raises QuadratureFailure.  times is a
+    1-d array or a scalar, and the result has its shape.
     """
     t = np.atleast_1d(np.asarray(times, dtype=float))
     if t.size == 0:
@@ -207,7 +208,4 @@ def angle_band_integral(f, a, b, times, tol=1e-8, *, breaks=()):
                 f"band integral not converged at {x.size} nodes "
                 f"(err {err:.2e})")
         prev = cur
-    result = phase_sum(x, fx, t)
-    if np.isscalar(times) or np.ndim(times) == 0:
-        return result[0]
-    return result
+    return phase_sum(x, fx, times)

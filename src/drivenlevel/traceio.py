@@ -109,15 +109,27 @@ def read_trace(path):
             raise ConfigError(f"{path}: missing header row")
         if header[:4] != ["t", "re_u", "im_u", "abs_u"]:
             raise ConfigError(f"{path}: unexpected columns {header[:4]}")
-        rows = [row for row in reader if row]
+        data = []
+        for row in reader:
+            if not row:
+                continue
+            try:
+                # a short row fails to unpack
+                t, re_u, im_u = map(float, row[:3])
+            except ValueError:
+                # the reader has not counted the metadata line
+                raise ConfigError(
+                    f"{path}: line {reader.line_num + 1}: need the numbers "
+                    f"t, re_u, im_u, got {row[:3]}") from None
+            data.append((t, re_u, im_u))
     try:
         grid = TimeGrid(meta["t0"], meta["h"], meta["n_steps"])
     except ValueError as exc:
         raise ConfigError(f"{path}: metadata grid: {exc}") from None
-    if len(rows) != grid.n_steps + 1:
+    if len(data) != grid.n_steps + 1:
         raise ConfigError(
-            f"{path}: {len(rows)} rows but metadata promises {grid.n_steps + 1}")
-    data = np.array([[float(r[0]), float(r[1]), float(r[2])] for r in rows])
+            f"{path}: {len(data)} rows but metadata promises {grid.n_steps + 1}")
+    data = np.array(data)
     if not np.allclose(data[:, 0], grid.times(), rtol=0.0, atol=1e-9 * grid.h):
         raise ConfigError(f"{path}: time column disagrees with the grid")
     values = data[:, 1] + 1j * data[:, 2]

@@ -110,6 +110,13 @@ def aligned_grid(t0, t_end, h_target, drive=None):
     of steps (switch times must land on nodes); t_end is stretched by less
     than one step if it is not commensurate.
     """
+    # a switch inside a step leaves the scheme second order and its error
+    # at h about the same (0.74-1.12x), but not clean: over 15 seeded
+    # square drives (semicircle and a kinked two-band table, t <= 30, h
+    # 0.01 and 0.02) the step-halving ratio of convergence_check scattered
+    # over 3.59-4.80 and Richardson extrapolation, (4 u_{h/2} - u_h) / 3,
+    # gained 8-1340x; snapped, the ratio is 4.00 on all 15 and the gain
+    # 1200-6500x
     if t_end <= t0:
         raise ValueError("t_end must exceed t0")
     h = float(h_target)
@@ -143,6 +150,8 @@ def _check_preconditions(sd, eps_s, drive, grid):
                 f"h = {h} too coarse for period {drive.period} "
                 f"(need h <= T/{MIN_STEPS_PER_PERIOD})")
         if drive.shape == "square":
+            # refused, not run: a switch inside a step costs the clean
+            # halving ratio and extrapolation gain (see aligned_grid)
             half = 0.5 * drive.period
             ratio = half / h
             if abs(ratio - round(ratio)) > _ALIGN_ATOL * max(1.0, ratio):
@@ -203,6 +212,20 @@ def _add_far(u, g, src, dst, size):
             np.fft.ifft(total, axis=0, out=total)
             u[dst + q0:top, chunk] += total[piece:piece + top - dst - q0]
         del acc
+
+
+def _non_finite_node(u, grid):
+    """Where u first fails to be finite, as "node k (t = t_k)" on the
+    grid, or None; u's rows are the nodes (its columns the drives, if
+    any).  A slab of rows at a time, so the scan holds no (N+1, P) mask."""
+    rows = u.reshape(u.shape[0], -1)
+    scan = max(1, oscquad._SLAB // rows.shape[1])
+    for lo in range(0, rows.shape[0], scan):
+        bad = ~np.isfinite(rows[lo:lo + scan]).all(axis=1)
+        if bad.any():
+            k = lo + int(np.argmax(bad))
+            return f"node {k} (t = {grid.times(k, k + 1)[0]:.6g})"
+    return None
 
 
 def evolve(kern, eps_s, drive, grid):
@@ -267,7 +290,11 @@ def evolve(kern, eps_s, drive, grid):
     u = np.empty((n + 1, p), dtype=complex)
     u[0] = 1.0
     np.multiply(g[1:, None], 0.5, out=u[1:])
-    # one drive steps on Python complex, which beats numpy's per-call cost
+    # one drive steps on Python complex, which beats numpy's per-call cost:
+    # sent through the (N+1, 1) batch path instead, a semicircle solve at
+    # h 0.01 (sine drive, one BLAS thread, best of 3, four rounds) took
+    # 0.12-0.20 s against 0.05-0.09 s at N = 2*10^4, and 0.60-0.79 s
+    # against 0.27-0.49 s at N = 10^5
     one = p == 1
     step_u, step_e = (u[:, 0], e[:, 0]) if one else (u, e)
     rows = (lambda a: a.tolist()) if one else list
@@ -305,15 +332,9 @@ def evolve(kern, eps_s, drive, grid):
             z = z_next
             step_u[start + 1 + i] = eb[i] * w
 
-    # a slab of rows at a time, so the scan holds no (N+1, P) mask
-    scan = max(1, oscquad._SLAB // p)
-    for lo in range(0, n + 1, scan):
-        bad = ~np.isfinite(u[lo:lo + scan]).all(axis=1)
-        if bad.any():
-            k = lo + int(np.argmax(bad))
-            raise StepTooLarge(
-                f"non-finite u at node {k} "
-                f"(t = {grid.times(k, k + 1)[0]:.6g})")
+    where = _non_finite_node(u, grid)
+    if where:
+        raise StepTooLarge(f"non-finite u at {where}")
     traces = [PropagatorTrace(grid, u[:, j]) for j in range(p)]
     return traces if batched else traces[0]
 

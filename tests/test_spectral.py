@@ -49,6 +49,24 @@ def test_j_band_support():
     assert eval_j(sd, 0.5) == pytest.approx(1.5, rel=1e-14)
 
 
+def test_semicircle_j_far_off_the_band_does_not_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for e in (1e300, -1e300):
+            assert eval_j(Semicircle(), e) == 0.0
+            assert self_energy(Semicircle(), e).j == 0.0
+    # in the band, edges included, bit for bit the unclipped formula, kept
+    # here as the reference
+    sd = Semicircle(eta=0.8, eps0=0.3, v0=1.2)
+    (lo, hi), = sd.band
+    e = np.concatenate((np.linspace(lo, hi, 100_001),
+                        [lo, hi, np.nextafter(lo, 0.0), np.nextafter(hi, 0.0)]))
+    x, r = e - sd.eps0, 2.0 * sd.v0
+    want = np.where(np.abs(x) <= r,
+                    sd.eta ** 2 * np.sqrt(np.maximum(r * r - x * x, 0.0)), 0.0)
+    assert np.array_equal(eval_j(sd, e), want)
+
+
 def test_total_weight_closed_form():
     sd = Semicircle(eta=1.3, v0=0.7)
     assert sd.weight == pytest.approx(1.3 ** 2 * 0.7 ** 2, rel=1e-13)

@@ -226,7 +226,8 @@ def test_default_pool_sized_from_affinity(tmp_path, monkeypatch, affinity,
 
 
 def _per_point_rows(spec):
-    return [sweep.evaluate_point((spec, pt)) for pt in spec_points(spec)]
+    return [sweep.evaluate_batch((spec, [pt]))[0]
+            for pt in spec_points(spec)]
 
 
 def _csv_rows(path):

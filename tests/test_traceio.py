@@ -146,6 +146,19 @@ def test_truncated_rows_rejected(tmp_path):
         read_trace(path)
 
 
+@pytest.mark.parametrize("row", ["0.1,abc,0,1", "0.1,0.5", "0.1,,0,1"],
+                         ids=["text", "short", "empty-cell"])
+def test_bad_data_row_names_file_and_line(tmp_path, row):
+    # line 1 is the metadata, line 2 the header, so data row 2 is line 4
+    path = tmp_path / "trace.csv"
+    write_trace(path, sample_trace(5), {})
+    lines = path.read_text().splitlines()
+    lines[3] = row
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: line 4: ")):
+        read_trace(path)
+
+
 def test_wrong_columns_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text('# {"format": "drivenlevel-trace", "version": 1, '
