@@ -97,22 +97,17 @@ def list_of(check, length=None):
 _PAIRS = list_of(list_of(number, 2))
 
 _DENSITIES = {
-    "semicircle": (Semicircle, block_of(
+    Semicircle.kind: (Semicircle, block_of(
         {"kind": text, "eta": number, "eps0": number, "v0": number})),
-    "tabulated": (Tabulated, block_of(
+    Tabulated.kind: (Tabulated, block_of(
         {"kind": text, "grid": list_of(number), "values": list_of(number),
          "band": _PAIRS}, required=("grid", "values", "band"))),
 }
 
 
 def sd_to_dict(sd):
-    if isinstance(sd, Semicircle):
-        return {"kind": "semicircle", **dataclasses.asdict(sd)}
-    if isinstance(sd, Tabulated):
-        return {"kind": "tabulated", "grid": list(map(float, sd.grid)),
-                "values": list(map(float, sd.values)),
-                "band": [list(b) for b in sd.band]}
-    raise ConfigError(f"unknown spectral density type {type(sd).__name__}")
+    # a table's tuples as lists, as JSON reads them back
+    return {"kind": sd.kind, **json.loads(json.dumps(dataclasses.asdict(sd)))}
 
 
 def sd_from_dict(raw, path):

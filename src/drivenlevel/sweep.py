@@ -30,7 +30,7 @@ from .config import block_of, integer, list_of, number, or_null, text
 from .driving import HARMONICS
 from .errors import ConfigError, DrivenLevelError
 from .kernel import kernel_for
-from .spectral import Semicircle, find_bound_states
+from .spectral import find_bound_states
 from .traceio import write_json
 from .volterra import aligned_grid, convergence_check
 
@@ -85,7 +85,7 @@ def _parse_sweep(cfg):
     names = [a.name for a in axes]
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate axis {names}")
-    if "eta" in names and not isinstance(cfg.sd, Semicircle):
+    if "eta" in names and not hasattr(cfg.sd, "eta"):
         raise ConfigError("eta axis needs a semicircle density")
     if "amplitude" in names and cfg.drive.shape == HARMONICS:
         raise ConfigError("amplitude axis needs a sine or square drive")

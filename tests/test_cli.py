@@ -46,6 +46,18 @@ def test_bound_states(tmp_path, capsys):
     assert payload[0]["residue"] == pytest.approx(0.84, abs=1e-9)
 
 
+def test_bound_states_just_past_a_threshold(tmp_path, capsys):
+    # eps_c = 1 for this semicircle: the state sits 1e-10 past the band
+    # edge, inside the derivative floor, and carries a Z near 0
+    cfg = write_config(tmp_path)
+    code, payload = run(capsys, "bound-states", "--config", cfg,
+                        "--set", "drive.mean=1.00001")
+    assert code == EXIT_OK
+    (state,) = payload
+    assert 0.0 < state["energy"] - 2.0 < 1e-9
+    assert 0.0 < state["residue"] < 1e-4
+
+
 def test_set_overrides(tmp_path, capsys):
     cfg = write_config(tmp_path)
     code, payload = run(capsys, "bound-states", "--config", cfg,

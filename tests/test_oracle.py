@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from drivenlevel import oracle, oscquad
+from drivenlevel import oracle, oscquad, spectral
 from drivenlevel.driving import DrivingField
 from drivenlevel.errors import DrivenLevelError, GridMismatch
 from drivenlevel.kernel import SemicircleKernel, kernel_for
@@ -56,7 +56,7 @@ def test_static_hamiltonian_layout():
     sd = Semicircle(eta=0.8)
     H = oracle.chain_hamiltonian(sd, 1.5, 10.0)
     # light cone: b_max * span + CHAIN_MARGIN sites, b_max = v0 = 1
-    assert H.shape[0] - 1 == 10 + oracle.CHAIN_MARGIN
+    assert H.shape[0] - 1 == 10 + spectral.CHAIN_MARGIN
     assert H[0, 0] == 1.5
     assert np.array_equal(H, H.T)
     assert np.array_equal(H, np.triu(np.tril(H, 1), -1))    # tridiagonal
@@ -64,7 +64,7 @@ def test_static_hamiltonian_layout():
     assert np.all(np.diag(H, 1) > 0.0)
     # Lanczos on a star smaller than the light cone stops at the whole star
     e, c = _gauss_star(sd, 12)
-    c0, a, b = oracle._lanczos(e, c, 10.0)
+    c0, a, b = spectral._lanczos(e, c, 10.0)
     assert len(a) == 12
     chain = np.diag([1.5] + a) + np.diag([c0] + b, 1) + np.diag([c0] + b, -1)
     want = _star_eigensystem(e, c, 1.5)[0]
@@ -92,7 +92,7 @@ CHAIN_CASES = {
                                      amplitude=0.4), 40.0),
     # the longest span whose light-cone chain a 300-node star still holds
     "near-horizon": (Semicircle(eta=1.0), 300, _SINE,
-                     0.95 * (300 - oracle.CHAIN_MARGIN)),
+                     0.95 * (300 - spectral.CHAIN_MARGIN)),
     "eta0": (Semicircle(eta=0.0), 50,
              DrivingField(mean=1.0, period=2.0, shape="sine",
                           amplitude=0.7), 20.0),
@@ -108,7 +108,7 @@ def test_chain_matches_star(kinked_two_band, case):
     sd = sd or kinked_two_band
     grid = TimeGrid(0.0, 0.01, int(t / 0.01))
     if n_nodes is None:
-        star = oracle._star(sd, oracle.chain_sites(sd, grid.t_end))
+        star = sd.gauss_star(oracle.chain_sites(sd, grid.t_end))
     else:
         star = _gauss_star(sd, n_nodes)
     got = oracle.propagate(sd, 0.0, drive, grid).values
@@ -129,7 +129,7 @@ def test_semicircle_chain_is_uniform():
     # Chin et al., J. Math. Phys. 51, 092109 (2010): a semicircle reservoir
     # is the uniform chain, on-site eps0, hopping v0, level coupling eta v0
     sd = Semicircle(eta=1.3, eps0=0.3, v0=0.7)
-    span = (299.5 - oracle.CHAIN_MARGIN) / sd.v0
+    span = (299.5 - spectral.CHAIN_MARGIN) / sd.v0
     H = oracle.chain_hamiltonian(sd, 0.0, span)
     assert H.shape[0] - 1 == 300
     a, c0, b = np.diag(H)[1:], H[0, 1], np.diag(H, 1)[1:]
@@ -137,7 +137,7 @@ def test_semicircle_chain_is_uniform():
     assert abs(c0 - sd.eta * sd.v0) <= 1e-15
     assert np.max(np.abs(b - sd.v0)) <= 1e-15
     # the same chain from Lanczos on the 400-node Gauss star
-    c0, a, b = oracle._lanczos(*_gauss_star(sd, 400), span)
+    c0, a, b = spectral._lanczos(*_gauss_star(sd, 400), span)
     assert len(a) == 300
     assert abs(c0 - H[0, 1]) <= 1e-15
     assert np.max(np.abs(np.array(a) - np.diag(H)[1:])) <= 1e-13
@@ -148,11 +148,11 @@ def test_table_node_rule(kinked_two_band, monkeypatch):
     # the node rule against m = L + 1 nodes a cell, which is exact
     span = 200.0
     sites = oracle.chain_sites(kinked_two_band, span)
-    rule = oracle._lanczos(*oracle._star(kinked_two_band, sites), span)
+    rule = spectral._lanczos(*kinked_two_band.gauss_star(sites), span)
     with monkeypatch.context() as m:
-        m.setattr(oracle, "_NODE_FLOOR", 10 ** 6)
-        star = oracle._star(kinked_two_band, sites)
-        exact = oracle._lanczos(*star, span)
+        m.setattr(spectral, "_NODE_FLOOR", 10 ** 6)
+        star = kinked_two_band.gauss_star(sites)
+        exact = spectral._lanczos(*star, span)
     assert star[0].size == 16 * (sites + 1)
     assert len(rule[1]) == len(exact[1]) > 400
     assert abs(rule[0] - exact[0]) <= 1e-13
@@ -162,7 +162,7 @@ def test_table_node_rule(kinked_two_band, monkeypatch):
     sc = Semicircle(eta=1.0)
     grid = np.linspace(-2.0, 2.0, 4001)
     dense = Tabulated(tuple(grid), tuple(eval_j(sc, grid)), ((-2.0, 2.0),))
-    energies, _ = oracle._star(dense, oracle.chain_sites(dense, span))
+    energies, _ = dense.gauss_star(oracle.chain_sites(dense, span))
     assert energies.size <= 100_000
 
 

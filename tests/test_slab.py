@@ -38,8 +38,7 @@ def _layers(tab):
         "phase sum, scattered": phase_sum(x, w, rng.uniform(-30, 30, 500)),
         "semicircle lags": SemicircleKernel(sc).lag_samples(0.01, 2000),
         "tabulated lags": tab_kern.lag_samples(0.01, 350),
-        "tabulated shift": spectral._delta_tabulated(
-            tab, np.linspace(-4.0, 4.0, 301)),
+        "tabulated shift": tab.shift(np.linspace(-4.0, 4.0, 301)),
         "evolve": evolve(SemicircleKernel(sc), 0.0, drives[0], grid).values,
         "oracle": oracle.propagate(sc, 0.0, drives[0], grid).values,
         "tabulated u0": compute_u0(tab, 0.2, grid.times()),

@@ -1,4 +1,5 @@
 import ast
+import math
 import dataclasses
 import os
 import pathlib
@@ -126,8 +127,7 @@ def test_density_facts_survive_a_pickle_round_trip(kinked_two_band):
     again = pickle.loads(pickle.dumps(kinked_two_band))
     assert _same_cells(again, (kinked_two_band.cells, kinked_two_band.weight))
     eps = np.linspace(-4.0, 4.0, 33)
-    assert np.array_equal(spectral._delta(again, eps),
-                          spectral._delta(kinked_two_band, eps))
+    assert np.array_equal(again.shift(eps), kinked_two_band.shift(eps))
 
 
 def test_replace_rebuilds_the_density_facts(kinked_two_band):
@@ -183,7 +183,7 @@ def test_semicircle_shift_off_the_band_keeps_full_precision():
             x = mp.mpf(eps)
             want = (x - mp.sign(x) * mp.sqrt(x * x - 4)) / 2
             want_slope = (1 - abs(x) / mp.sqrt(x * x - 4)) / 2
-            got = spectral._delta(sd, eps)
+            got = sd.shift(eps)
             assert abs(got - want) <= 1e-15 * abs(want), eps
             # past 1e150 the slope, about -2/x^2, is subnormal or 0
             if abs(eps) < 1e150:
@@ -372,6 +372,125 @@ def test_tabulated_bound_state_matches():
     assert got[0].residue == pytest.approx(0.84, abs=5e-4)
 
 
+# J > 0 at both band edges: the shift diverges logarithmically there
+STEP_EDGES = Tabulated((0.0, 1.0, 2.0), (0.5, 1.0, 0.5), ((0.0, 2.0),))
+
+
+def test_threshold_counts_on_a_semicircle():
+    # eps_c = 1: phi's limit at the upper edge, 2 - eps_on - eta^2 v0, is
+    # 0 there.  The state just above it sits (eps_on - eps_c)^2 past the
+    # edge, inside the old 1e-6 collar, which dropped it up to 1 + 1.5e-3
+    sd = Semicircle()
+    for d, count in ((1e-3, 1), (1e-4, 1), (0.0, 0), (-1e-3, 0)):
+        states = find_bound_states(sd, 1.0 + d)
+        assert len(states) == count, d
+        for s in states:
+            assert s.energy - 2.0 == pytest.approx(d * d, rel=1e-2)
+            assert s.residue == pytest.approx(2.0 * d, rel=1e-2)
+
+
+def test_edge_shift_is_the_one_sided_limit(kinked_two_band):
+    sd = Semicircle(eta=0.8, eps0=0.3, v0=1.2)
+    (lo, hi), = sd.band
+    assert sd.edge_shift(hi, 1.0) == pytest.approx(0.64 * 1.2, rel=1e-15)
+    assert sd.edge_shift(lo, -1.0) == -sd.edge_shift(hi, 1.0)
+    assert sd.shift(hi + 1e-12) == pytest.approx(sd.edge_shift(hi, 1.0),
+                                                 abs=1e-5)
+    # J = 0 at the edge: the cell sum there, continuous with the outside
+    for lo, hi in kinked_two_band.band:
+        for edge, side in ((lo, -1.0), (hi, 1.0)):
+            limit = kinked_two_band.edge_shift(edge, side)
+            want = _tabulated_shift_mp(kinked_two_band, edge,
+                                       f"{side:+g}e-30")
+            assert limit == pytest.approx(want, rel=1e-14)
+            assert kinked_two_band.shift(edge + side * 1e-12) == \
+                pytest.approx(limit, abs=1e-9)
+    # J > 0 at the edge: the value at the edge is finite, the limit is not
+    assert STEP_EDGES.edge_shift(2.0, 1.0) == np.inf
+    assert STEP_EDGES.edge_shift(0.0, -1.0) == -np.inf
+    assert STEP_EDGES.shift(2.0) == pytest.approx(0.1655, abs=1e-4)
+    assert 1.8 < STEP_EDGES.shift(2.0 + 1e-9) < STEP_EDGES.shift(2.0 + 1e-12)
+
+
+def _thresholds(sd, reference):
+    """(edge, side, eps_c) per band edge: side +1 for an upper edge, whose
+    gap holds a state for eps_on > eps_c, -1 for a lower one."""
+    out = []
+    for lo, hi in sd.band:
+        out += [(lo, -1.0, lo - reference(lo)), (hi, 1.0, hi - reference(hi))]
+    return out
+
+
+@pytest.mark.parametrize("which", ["semicircle", "table"])
+def test_count_changes_once_at_each_threshold(kinked_two_band, which):
+    # eps_c from the closed form, or from a 40-digit cell sum 1e-30 off
+    # the edge
+    if which == "semicircle":
+        sd = Semicircle(eta=0.8, eps0=0.3, v0=1.2)
+        reference = lambda e: math.copysign(0.64 * 1.2, e - 0.3)
+    else:
+        sd = kinked_two_band
+        reference = lambda e: _tabulated_shift_mp(
+            sd, e, "-1e-30" if e in (-3.0, 1.0) else "1e-30")
+    rng = np.random.default_rng(12)
+    for edge, side, eps_c in _thresholds(sd, reference):
+        levels = np.sort(eps_c + rng.uniform(-1e-2, 1e-2, 16))
+        found = [find_bound_states(sd, level) for level in levels]
+        # the state this edge makes, in its gap, beyond the edge
+        near = [[s for s in states if 0.0 < side * (s.energy - edge) < 0.5]
+                for states in found]
+        counts = [len(states) for states in found]
+        bound = side * (levels - eps_c) > 0.0
+        assert [len(n) for n in near] == bound.astype(int).tolist()
+        # the total count moves once, by one, at eps_c
+        below, above = set(np.array(counts)[levels < eps_c]), \
+            set(np.array(counts)[levels > eps_c])
+        assert len(below) == len(above) == 1
+        assert above.pop() - below.pop() == side
+        # Z falls toward 0 as the level nears eps_c
+        z = [n[0].residue for n in near if n]
+        gaps = [n[0].energy - edge for n in near if n]
+        order = np.argsort(np.abs(levels[bound] - eps_c))
+        assert np.all(np.diff(np.array(z)[order]) > 0.0)
+        assert np.all(np.diff(np.abs(np.array(gaps)[order])) > 0.0)
+        # and nearer still, 1e-9 past it, the state is there with a smaller Z
+        state, = [s for s in find_bound_states(sd, eps_c + side * 1e-9)
+                  if 0.0 < side * (s.energy - edge) < 0.5]
+        assert 0.0 < state.residue < min(z)
+
+
+def test_log_divergent_edges_bind_a_state_on_each_side():
+    # Delta -> -inf below 0 and +inf above 2, so phi changes sign in both
+    # gaps whatever the level; at 3 the lower state sits within 1e-15 of
+    # the edge, where the old off-band cell formula gave NaN
+    lower, upper = find_bound_states(STEP_EDGES, 3.0)
+    assert -1e-15 < lower.energy < 0.0 < 2.0 < upper.energy
+    assert 0.0 < lower.residue < 1e-13
+    assert 0.0 < upper.residue < 1.0
+    assert abs(upper.energy - 3.0 - STEP_EDGES.shift(upper.energy)) < 1e-11
+
+
+def test_state_a_float_past_an_edge_has_z_near_0():
+    # the root lands on the float below the edge 0.534, where
+    # 0.534 - 3.358 rounds onto -2 v0: the in-band slope eta^2 / 2 there
+    # gave Z = 2
+    sd = Semicircle(eta=1.0, eps0=3.358, v0=1.412)
+    (lo, _), = sd.band
+    state, = find_bound_states(sd, lo + 1.412 - 1e-13)
+    assert lo - 1e-15 < state.energy < lo
+    assert 0.0 <= state.residue < 1e-6
+
+
+def test_a_narrow_gap_between_log_divergent_edges_holds_a_state():
+    # the gap is 1e-7 wide, narrower than the collars on its two sides
+    sd = Tabulated((0.0, 1.0, 1.0 + 1e-7, 2.0), (0.5, 1.0, 1.0, 0.5),
+                   ((0.0, 1.0), (1.0 + 1e-7, 2.0)))
+    below, gap, above = find_bound_states(sd, 1.0)
+    assert below.energy < 0.0 and 2.0 < above.energy
+    assert 1.0 < gap.energy < 1.0 + 1e-7
+    assert 0.0 < gap.residue < 1e-6
+
+
 def test_sum_rule_three_parameter_sets():
     for eta, eps_on in ((1.0, 2.5), (2.5, 0.5), (0.8, 1.0)):
         spec = spectrum(Semicircle(eta=eta), eps_on)
@@ -469,6 +588,18 @@ def test_table_refuses_an_overflowing_weight():
         1e300, rel=1e-15)
 
 
+@pytest.mark.parametrize("grid, values, field", [
+    ((0.0, 1.0, np.inf), (0.0, 1.0, 0.0), "grid"),
+    ((0.0, np.nan, 2.0), (0.0, 1.0, 0.0), "grid"),
+    ((0.0, 1.0, 2.0), (0.0, np.inf, 0.0), "values"),
+    ((0.0, 1.0, 2.0), (0.0, np.nan, 0.0), "values")])
+def test_table_refuses_non_finite_nodes(grid, values, field):
+    # an inf grid node was taken, and J interpolated toward it; a NaN one
+    # was refused as an overflowing weight
+    with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+        Tabulated(grid, values, ((0.0, 2.0),))
+
+
 def test_u0_short_time_series():
     # u0 ~ 1 - i*eps_on*t - (eps_on^2 + g(0)) t^2/2 for small t
     sd = Semicircle(eta=1.0)
@@ -531,12 +662,12 @@ def test_tabulated_shift_vectorized_matches_scalar(make):
     # table nodes, band edges, gap and far-outside points included
     eps = np.concatenate([np.linspace(-4.0, 4.0, 257), np.asarray(sd.grid)])
     scalar = np.array([self_energy(sd, e).delta for e in eps])
-    vec = spectral._delta_tabulated(sd, eps)
+    vec = sd.shift(eps)
     assert vec.shape == eps.shape
     assert np.max(np.abs(vec - scalar)) <= 1e-12 * np.max(np.abs(scalar))
-    assert isinstance(spectral._delta_tabulated(sd, 0.3), float)
+    assert isinstance(sd.shift(0.3), float)
     grid2 = eps[:256].reshape(16, 16)
-    assert spectral._delta_tabulated(sd, grid2).shape == (16, 16)
+    assert sd.shift(grid2).shape == (16, 16)
     bsf = band_spectral_function(sd, 0.2, eps)
     bsf_scalar = np.array([band_spectral_function(sd, 0.2, e) for e in eps])
     assert np.max(np.abs(bsf - bsf_scalar)) <= 1e-12 * np.max(bsf_scalar)
@@ -568,15 +699,16 @@ def test_tabulated_shift_matches_plain_cell_sum(make):
             outside = np.sum(jv[:-1] * np.log1p(s)
                              + b * d1 * spectral._excess(s), axis=1)
         want += np.where((eps >= lo) & (eps <= hi), inside, outside)
-    assert np.array_equal(spectral._delta_tabulated(sd, eps),
+    assert np.array_equal(sd.shift(eps),
                           want / (2.0 * np.pi))
 
 
-def _tabulated_shift_mp(sd, eps):
-    """40-digit tabulated shift, the cell sum taken cell by cell."""
+def _tabulated_shift_mp(sd, eps, offset=0):
+    """40-digit tabulated shift, the cell sum taken cell by cell, at eps
+    plus offset (a string, so that it keeps its digits)."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
-        e = mp.mpf(eps)
+        e = mp.mpf(eps) + mp.mpf(offset)
         total = mp.mpf(0)
         for band in sd.cells:
             x, jv = band.x, band.j
@@ -595,17 +727,29 @@ def test_tabulated_shift_far_from_the_band():
     _, tab = make_tabulated(n=4001)
     for eps in (10.0, 100.0, 1e4, -30.0, 2.1, -2.0000001):
         want = _tabulated_shift_mp(tab, eps)
-        assert spectral._delta_tabulated(tab, eps) == pytest.approx(
+        assert tab.shift(eps) == pytest.approx(
             want, rel=1e-14, abs=0.0), eps
+
+
+def test_tabulated_shift_is_finite_just_below_a_band():
+    # e - x0 below the rounding of e - x1 rounded 1 + s to 0 in the
+    # off-band cell formula, and log1p gave -inf times 0: NaN even with
+    # J = 0 at the edge
+    sd = Tabulated((0.0, 1.0, 2.0), (0.0, 1.0, 0.0), ((0.0, 2.0),))
+    for eps in (-1e-16, -1e-17, -1e-300):
+        want = _tabulated_shift_mp(sd, eps)
+        assert sd.shift(eps) == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert self_energy(sd, eps).delta == sd.shift(eps)
+        assert np.isfinite(self_energy_derivative(sd, eps - 1e-9))
 
 
 def test_tabulated_shift_chunks_agree(monkeypatch):
     sd = two_band_table()
     eps = np.linspace(-3.5, 3.5, 1001)
-    whole = spectral._delta_tabulated(sd, eps)
+    whole = sd.shift(eps)
     # the shift shares the phase sums' slab budget
     monkeypatch.setattr(oscquad, "_SLAB", 50)
-    assert np.max(np.abs(spectral._delta_tabulated(sd, eps) - whole)) <= 1e-15
+    assert np.max(np.abs(sd.shift(eps) - whole)) <= 1e-15
 
 
 def cell_split_u0(sd, eps_on, t, order=64):
@@ -674,13 +818,13 @@ def test_sum_rule_continuum_of_a_kinked_band(monkeypatch):
 
 def test_table_breaks_are_thinned_table_nodes():
     (lo, hi), = Semicircle(eta=1.0).band
-    assert spectral._table_breaks(Semicircle(eta=1.0), 0).size == 0
+    assert Semicircle(eta=1.0).breaks[0].size == 0
     sd = two_band_table()
-    assert list(spectral._table_breaks(sd, 1)) == [1.4, 2.2]
+    assert list(sd.breaks[1]) == [1.4, 2.2]
     # a dense table keeps at most _MAX_PIECES - 1 of its nodes, crowded
     # toward the edges
     _, tab = make_tabulated(n=4001)
-    breaks = spectral._table_breaks(tab, 0)
+    breaks = tab.breaks[0]
     assert breaks.size == spectral._MAX_PIECES - 1
     assert np.all(np.isin(breaks, tab.grid))
     assert np.all((breaks > lo) & (breaks < hi))
@@ -824,3 +968,21 @@ def test_u0_invariant_rejects_bad_quadrature(monkeypatch, bad):
                         lambda *a, **k: bad * real(*a, **k))
     with pytest.raises(QuadratureFailure):
         compute_u0(sd, 2.5, t)
+
+
+def test_no_density_type_switch_outside_the_kernel():
+    # each per-density formula is a method of the density; only kernel.py,
+    # whose classes the benchmark tracer hooks by name, still tests types
+    names = {"Semicircle", "Tabulated"}
+    found = []
+    for path in sorted(pathlib.Path(spectral.__file__).parent.glob("*.py")):
+        if path.name == "kernel.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and \
+                    getattr(node.func, "id", None) == "isinstance" and \
+                    len(node.args) == 2 and names & {
+                        getattr(n, "id", getattr(n, "attr", None))
+                        for n in ast.walk(node.args[1])}:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
