@@ -63,7 +63,7 @@ def _grid(cfg):
 
     cfg.require_grid()
     cfg.require_drive()
-    return aligned_grid(0.0, cfg.t_max, cfg.h, cfg.drive)
+    return aligned_grid(cfg.t_max, cfg.h, cfg.drive)
 
 
 def cmd_bound_states(cfg):
@@ -78,7 +78,7 @@ def cmd_u0(cfg):
     from .volterra import PropagatorTrace, aligned_grid
 
     cfg.require_grid()
-    grid = aligned_grid(0.0, cfg.t_max, cfg.h)
+    grid = aligned_grid(cfg.t_max, cfg.h)
     values = compute_u0(cfg.sd, cfg.eps_on, grid.times())
     trace = PropagatorTrace(grid, values)
     out = _write_trace(cfg, "u0", [(trace, "driving-free")], "|u0(t)|")
@@ -120,7 +120,7 @@ def cmd_oracle_compare(cfg):
     from .volterra import evolve
 
     grid = _grid(cfg)
-    sites = oracle.chain_sites(cfg.sd, grid.t_end - grid.t0)
+    sites = oracle.chain_sites(cfg.sd, grid.t_end)
     if sites > cfg.n_modes:
         raise ConfigError(f"oracle chain to t = {grid.t_end:g} needs {sites} "
                           f"sites, more than oracle.n_modes {cfg.n_modes}")

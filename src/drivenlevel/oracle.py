@@ -102,7 +102,7 @@ def _kicks(drive, grid, lo, hi):
 
 
 def propagate(sd, eps_s, drive, grid):
-    """Amplitude u(t_k, t0) of the level at eps_s under drive, coupled to
+    """Amplitude u(t_k) of the level at eps_s under drive, coupled to
     sd's chain, on the grid; returns a PropagatorTrace.
 
     Raises DrivenLevelError if any u is non-finite or the final norm has
@@ -111,7 +111,7 @@ def propagate(sd, eps_s, drive, grid):
     """
     n = grid.n_steps
     oscquad.check_budget(16 * (n + 1), f"a grid of {n + 1} nodes")
-    lam, q = _eigensystem(sd, eps_s + drive.mean, grid.t_end - grid.t0)
+    lam, q = _eigensystem(sd, eps_s + drive.mean, grid.t_end)
     phase_step = np.exp(-1j * grid.h * lam)
 
     psi = q.astype(complex)               # e0 in the eigenbasis

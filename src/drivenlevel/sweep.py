@@ -152,7 +152,7 @@ def evaluate_batch(payload):
             heads.append([_fmt(v) for v in point.values()]
                          + _prediction(sd_pt, cfg.eps_s, drive_pt))
             drives.append(drive_pt)
-        grid = aligned_grid(0.0, cfg.t_max, cfg.h, drives[0])
+        grid = aligned_grid(cfg.t_max, cfg.h, drives[0])
         # the batch shares one eta, so the last point's density is theirs
         fine, est = convergence_check(kernel_for(sd_pt), cfg.eps_s, drives,
                                       grid)
@@ -190,7 +190,7 @@ def _batch_key(cfg, index, point):
     """
     try:
         _, drive_pt = _apply_point(cfg, point)
-        grid = aligned_grid(0.0, cfg.t_max, cfg.h, drive_pt)
+        grid = aligned_grid(cfg.t_max, cfg.h, drive_pt)
     except DrivenLevelError:
         return ("alone", index)
     return (point.get("eta"), grid.h, grid.n_steps)

@@ -3,7 +3,8 @@
 Layout: one '#'-prefixed JSON metadata line, then a header row and one row
 per node with t, re_u, im_u, abs_u (extra columns pass through untouched).
 The metadata carries the grid and the full run configuration, so a trace
-file is self-describing.
+file is self-describing.  Every trace starts at t = 0; the metadata still
+names that origin, t0 = 0.
 """
 
 import csv
@@ -59,7 +60,7 @@ def write_trace(path, trace, config, extra_columns=None):
     meta = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
-        "t0": grid.t0,
+        "t0": 0.0,
         "h": grid.h,
         "n_steps": grid.n_steps,
         "config": config,
@@ -122,8 +123,11 @@ def read_trace(path):
                     f"{path}: line {reader.line_num + 1}: need the numbers "
                     f"t, re_u, im_u, got {row[:3]}") from None
             data.append((t, re_u, im_u))
+    if meta["t0"] != 0.0:
+        raise ConfigError(f"{path}: metadata.t0 is {meta['t0']:g}, but a "
+                          f"trace starts at t = 0")
     try:
-        grid = TimeGrid(meta["t0"], meta["h"], meta["n_steps"])
+        grid = TimeGrid(meta["h"], meta["n_steps"])
     except ValueError as exc:
         raise ConfigError(f"{path}: metadata grid: {exc}") from None
     if len(data) != grid.n_steps + 1:

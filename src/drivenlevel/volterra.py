@@ -2,11 +2,11 @@
 
 The survival amplitude obeys
 
-    du/dt = -i [eps_s + eps_d(t)] u(t) - int_{t0}^t g(t - tau) u(tau) dtau,
-    u(t0) = 1.
+    du/dt = -i [eps_s + eps_d(t)] u(t) - int_0^t g(t - tau) u(tau) dtau,
+    u(0) = 1.
 
 The local phase is removed exactly before stepping: with
-Phi(t) = int_{t0}^t [eps_s + eps_d] and u = e^{-i Phi} w, the slow variable w
+Phi(t) = int_0^t [eps_s + eps_d] and u = e^{-i Phi} w, the slow variable w
 obeys a pure memory equation.  Phi comes from the drive's closed-form
 antiderivative, so zero coupling propagates exactly (any step size), and a
 constant level shift never costs accuracy.  w is advanced by an explicit
@@ -62,9 +62,8 @@ _BLOCK = 64
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid t0 + h*k for k = 0..n_steps."""
+    """Uniform grid h*k for k = 0..n_steps, from t = 0."""
 
-    t0: float
     h: float
     n_steps: int
 
@@ -74,24 +73,19 @@ class TimeGrid:
 
     @property
     def t_end(self):
-        return self.t0 + self.h * self.n_steps
+        return self.h * self.n_steps
 
     def times(self, start=0, stop=None):
-        """Node times t0 + h*k for start <= k < stop (default and cap: the
+        """Node times h*k for start <= k < stop (default and cap: the
         last node), so a long grid can be walked in pieces."""
         last = self.n_steps + 1
         stop = last if stop is None else min(stop, last)
-        return self.t0 + self.h * np.arange(start, stop)
-
-    def matches(self, other):
-        return (abs(self.t0 - other.t0) < _ALIGN_ATOL
-                and abs(self.h - other.h) < _ALIGN_ATOL
-                and self.n_steps == other.n_steps)
+        return self.h * np.arange(start, stop)
 
 
 @dataclass(frozen=True)
 class PropagatorTrace:
-    """u(t_k, t0) samples on a TimeGrid."""
+    """u(t_k) samples on a TimeGrid."""
 
     grid: TimeGrid
     values: np.ndarray
@@ -103,8 +97,8 @@ class PropagatorTrace:
         return np.abs(self.values)
 
 
-def aligned_grid(t0, t_end, h_target, drive=None):
-    """TimeGrid reaching t_end with step <= h_target.
+def aligned_grid(t_end, h_target, drive=None):
+    """TimeGrid from 0 reaching t_end with step <= h_target.
 
     For square drives h is refined so the half period is an integer number
     of steps (switch times must land on nodes); t_end is stretched by less
@@ -117,14 +111,14 @@ def aligned_grid(t0, t_end, h_target, drive=None):
     # over 3.59-4.80 and Richardson extrapolation, (4 u_{h/2} - u_h) / 3,
     # gained 8-1340x; snapped, the ratio is 4.00 on all 15 and the gain
     # 1200-6500x
-    if t_end <= t0:
-        raise ValueError("t_end must exceed t0")
+    if t_end <= 0.0:
+        raise ValueError("t_end must be positive")
     h = float(h_target)
     if drive is not None and drive.shape == "square" and drive.amplitude != 0.0:
         half = 0.5 * drive.period
         h = half / int(np.ceil(half / h - _ALIGN_ATOL))
-    n = int(np.ceil((t_end - t0) / h - _ALIGN_ATOL))
-    return TimeGrid(float(t0), h, n)
+    n = int(np.ceil(t_end / h - _ALIGN_ATOL))
+    return TimeGrid(h, n)
 
 
 def _check_preconditions(sd, eps_s, drive, grid):
@@ -280,7 +274,6 @@ def evolve(kern, eps_s, drive, grid):
     # e = e^{-i Phi}, the exact accumulated phase of each drive's level
     # (u = e * w), held for a window of whole blocks: nodes first + 1 ..
     # first + span, rebuilt as the steps reach the next window
-    phi0 = [d.modulation_integral(grid.t0) for d in drives]
     span = _BLOCK * max(1, oscquad._SLAB // (p * _BLOCK))
     phi = np.empty((span, p))
     e = np.empty((span, p), dtype=complex)
@@ -313,10 +306,9 @@ def evolve(kern, eps_s, drive, grid):
         if start % span == 0:
             first = start
             t = grid.times(first + 1, first + 1 + span)
-            dt = t - grid.t0
             for j, d in enumerate(drives):
-                phi[:t.size, j] = (eps_s + d.mean) * dt \
-                    + d.modulation_integral(t) - phi0[j]
+                phi[:t.size, j] = (eps_s + d.mean) * t \
+                    + d.modulation_integral(t)
             np.multiply(phi[:t.size], -1j, out=e[:t.size])
             np.exp(e[:t.size], out=e[:t.size])
         stop = min(start + _BLOCK, n)
@@ -341,22 +333,20 @@ def evolve(kern, eps_s, drive, grid):
 
 def compare(a, b):
     """Largest pointwise deviation between two traces on the same grid."""
-    if not a.grid.matches(b.grid):
+    if a.grid != b.grid:
         raise GridMismatch("traces live on different grids")
     return float(np.max(np.abs(a.values - b.values)))
 
 
-def convergence_check(kern, eps_s, drive, grid):
-    """Evolve with kern at h and at h/2 and compare on the shared nodes.
+def convergence_check(kern, eps_s, drives, grid):
+    """Evolve a list of drives with kern at h and at h/2, as `evolve` does,
+    and compare on the shared nodes.
 
-    Returns (half-step trace, error estimate); for a list of drives, as in
-    `evolve`, the list of half-step traces and the list of estimates.
+    Returns the list of half-step traces and the list of error estimates.
     """
-    fine = TimeGrid(grid.t0, 0.5 * grid.h, 2 * grid.n_steps)
-    coarse_trace = evolve(kern, eps_s, drive, grid)
-    fine_trace = evolve(kern, eps_s, drive, fine)
-    batched = isinstance(drive, (list, tuple))
-    pairs = zip(coarse_trace, fine_trace) if batched \
-        else [(coarse_trace, fine_trace)]
-    est = [float(np.max(np.abs(a.values - b.values[::2]))) for a, b in pairs]
-    return fine_trace, est if batched else est[0]
+    coarse = evolve(kern, eps_s, drives, grid)
+    fine = evolve(kern, eps_s, drives,
+                  TimeGrid(0.5 * grid.h, 2 * grid.n_steps))
+    est = [float(np.max(np.abs(a.values - b.values[::2])))
+           for a, b in zip(coarse, fine)]
+    return fine, est

@@ -86,7 +86,7 @@ def test_reports_for_real_two_state_system():
 
 
 def two_tone_trace(h=0.01, n=20000):
-    grid = TimeGrid(0.0, h, n)
+    grid = TimeGrid(h, n)
     t = grid.times()
     u = (0.469325 * np.exp(-1j * 2.94629299 * t)
          + 0.340199 * np.exp(+1j * 2.54153109 * t))
@@ -94,13 +94,13 @@ def two_tone_trace(h=0.01, n=20000):
 
 
 def test_survival_metric_constant_trace():
-    grid = TimeGrid(0.0, 0.01, 1000)
+    grid = TimeGrid(0.01, 1000)
     tr = PropagatorTrace(grid, 0.7 * np.ones(1001, dtype=complex))
     assert survival_metric(tr, (2.0, 8.0)) == pytest.approx(0.7, rel=1e-12)
 
 
 def test_survival_metric_window_checks():
-    grid = TimeGrid(0.0, 0.01, 100)
+    grid = TimeGrid(0.01, 100)
     tr = PropagatorTrace(grid, np.ones(101, dtype=complex))
     with pytest.raises(WindowOutOfRange):
         survival_metric(tr, (0.5, 2.0))     # past the end
@@ -111,7 +111,7 @@ def test_survival_metric_window_checks():
 
 
 def test_peaks_single_line():
-    grid = TimeGrid(0.0, 0.01, 20000)
+    grid = TimeGrid(0.01, 20000)
     t = grid.times()
     tr = PropagatorTrace(grid, 0.34 * np.exp(+1j * 2.5415 * t))
     peaks = late_window_peaks(tr, (150.0, 200.0))
@@ -135,7 +135,7 @@ def test_peaks_two_lines_and_spacing():
 
 def test_peaks_drop_weak_satellites():
     # a drive replica a few percent of its parent is not a second component
-    grid = TimeGrid(0.0, 0.01, 20000)
+    grid = TimeGrid(0.01, 20000)
     t = grid.times()
     u = (0.4 * np.exp(-1j * 2.9 * t)
          + 0.028 * np.exp(+1j * 2.1 * t))          # 7% satellite
@@ -147,7 +147,7 @@ def test_peaks_drop_weak_satellites():
 
 
 def test_peaks_silent_trace():
-    grid = TimeGrid(0.0, 0.01, 20000)
+    grid = TimeGrid(0.01, 20000)
     t = grid.times()
     # residual continuum ripple well below any surviving line
     u = 1.5e-3 * np.exp(-2j * t) + 1e-3 * np.exp(2j * t)

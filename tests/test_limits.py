@@ -67,7 +67,7 @@ def test_budget_counts_every_drive_of_a_batch(monkeypatch, traced_peak):
     # 201 nodes: 3 drives take 9 648 bytes, 4 take 12 864
     monkeypatch.setattr(oscquad, "_BUDGET", 10_000)
     kern = SemicircleKernel(Semicircle(eta=1.0))
-    grid = TimeGrid(0.0, 0.01, 200)
+    grid = TimeGrid(0.01, 200)
     assert len(evolve(kern, 0.0, [README] * 3, grid)) == 3
     with pytest.raises(ConfigError, match=r"4 drive\(s\) on a grid of 201"):
         traced_peak(evolve, kern, 0.0, [README] * 4, grid)
@@ -88,7 +88,7 @@ def test_budget_refuses_chain_sites(monkeypatch, traced_peak):
     # v0 1e150 for more sites than an index holds
     with pytest.raises(ConfigError, match="needs 2.98e\\+04 GiB"):
         traced_peak(oracle.chain_sites, Semicircle(v0=1e6), 2.0)
-    grid = TimeGrid(0.0, 0.01, 200)
+    grid = TimeGrid(0.01, 200)
     with pytest.raises(ConfigError, match="oracle's chain of 2e\\+150"):
         traced_peak(oracle.propagate, Semicircle(v0=1e150), 0.0, README,
                     grid)
@@ -103,10 +103,10 @@ def test_budget_refuses_an_oracle_grid(monkeypatch):
     # 2 001 nodes of 16 bytes fit 32 016, 2 002 do not; the chain of 53
     # sites to t = 2 takes 22 KB
     monkeypatch.setattr(oscquad, "_BUDGET", 16 * 2001)
-    oracle.propagate(Semicircle(), 0.0, README, TimeGrid(0.0, 0.001, 2000))
+    oracle.propagate(Semicircle(), 0.0, README, TimeGrid(0.001, 2000))
     with pytest.raises(ConfigError, match="a grid of 2002 nodes"):
         oracle.propagate(Semicircle(), 0.0, README,
-                         TimeGrid(0.0, 0.001, 2001))
+                         TimeGrid(0.001, 2001))
 
 
 def test_band_quadrature_refuses_its_first_level(monkeypatch):

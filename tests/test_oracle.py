@@ -106,7 +106,7 @@ def test_chain_matches_star(kinked_two_band, case):
     # runs Lanczos on for a table
     sd, n_nodes, drive, t = CHAIN_CASES[case]
     sd = sd or kinked_two_band
-    grid = TimeGrid(0.0, 0.01, int(t / 0.01))
+    grid = TimeGrid(0.01, int(t / 0.01))
     if n_nodes is None:
         star = sd.gauss_star(oracle.chain_sites(sd, grid.t_end))
     else:
@@ -171,7 +171,7 @@ def _two_steps(sd, drives):
     and t <= 100, the h / 2 runs on the h grid's nodes."""
     runs = []
     for h in (0.01, 0.005):
-        grid = TimeGrid(0.0, h, int(round(100.0 / h)))
+        grid = TimeGrid(h, int(round(100.0 / h)))
         solved = evolve(kernel_for(sd), 0.0, list(drives), grid)
         runs.append(([oracle.propagate(sd, 0.0, f, grid).values
                       for f in drives], [tr.values for tr in solved]))
@@ -218,7 +218,7 @@ def test_extrapolated_oracle_agrees_with_evolve_on_a_table(kinked_two_band):
 
 def test_zero_coupling_pure_phase():
     drive = DrivingField(mean=1.0, period=2.0, shape="sine", amplitude=0.7)
-    grid = TimeGrid(0.0, 0.01, 2000)
+    grid = TimeGrid(0.01, 2000)
     tr = oracle.propagate(Semicircle(eta=0.0), 0.0, drive, grid)
     t = grid.times()
     want = np.exp(-1j * (1.0 * t + drive.modulation_integral(t)))
@@ -227,7 +227,7 @@ def test_zero_coupling_pure_phase():
 
 def test_unitarity_long_run():
     drive = DrivingField(mean=2.5, period=1.25, shape="sine", amplitude=0.5)
-    grid = TimeGrid(0.0, 0.01, 10000)
+    grid = TimeGrid(0.01, 10000)
     tr = oracle.propagate(Semicircle(eta=1.0), 0.0, drive, grid)
     assert np.max(tr.magnitude()) <= 1.0 + 1e-10
 
@@ -238,7 +238,7 @@ def test_propagate_chunks_agree(monkeypatch):
     # the wrong step would move u far beyond roundoff
     sd = Semicircle(eta=1.0)
     drive = DrivingField(mean=2.5, period=1.25, shape="sine", amplitude=0.5)
-    grid = TimeGrid(0.0, 0.01, 1000)
+    grid = TimeGrid(0.01, 1000)
     whole = oracle.propagate(sd, 0.0, drive, grid)
     monkeypatch.setattr(oscquad, "_SLAB", 4 * 7)
     chunked = oracle.propagate(sd, 0.0, drive, grid)
@@ -256,7 +256,7 @@ def test_propagate_memory_does_not_grow_with_steps(traced_peak, monkeypatch):
     above = []
     for n in (125, 1250):
         tr, peak = traced_peak(oracle.propagate, sd, 0.0, drive,
-                               TimeGrid(0.0, 12.5 / n, n))
+                               TimeGrid(12.5 / n, n))
         above.append(peak - tr.values.nbytes)
     assert above[1] <= above[0] + 0.5e6 / 16, above
 
@@ -266,7 +266,7 @@ def test_static_late_amplitude_is_residue():
     sd = Semicircle(eta=1.0)
     z = find_bound_states(sd, 2.5)[0].residue
     drive = DrivingField(mean=2.5, amplitude=0.0)
-    grid = TimeGrid(0.0, 0.02, 3000)
+    grid = TimeGrid(0.02, 3000)
     tr = oracle.propagate(sd, 0.0, drive, grid)
     late = tr.magnitude()[grid.times() > 40.0]
     assert np.mean(late) == pytest.approx(z, abs=5e-3)
@@ -275,7 +275,7 @@ def test_static_late_amplitude_is_residue():
 def test_matches_volterra_driven():
     sd = Semicircle(eta=1.0)
     drive = DrivingField(mean=2.5, period=1.32, shape="sine", amplitude=0.5)
-    grid = TimeGrid(0.0, 0.01, 2000)
+    grid = TimeGrid(0.01, 2000)
     a = oracle.propagate(sd, 0.0, drive, grid)
     b = evolve(SemicircleKernel(sd), 0.0, drive, grid)
     assert oracle.compare(a, b) < 5e-4
@@ -285,7 +285,7 @@ def test_matches_volterra_driven():
 def test_propagate_checks_norm_invariant(monkeypatch, scale):
     sd = Semicircle(eta=1.0)
     drive = DrivingField(mean=2.5, period=2.0, shape="sine", amplitude=0.1)
-    grid = TimeGrid(0.0, 0.01, 50)
+    grid = TimeGrid(0.01, 50)
     oracle.propagate(sd, 0.0, drive, grid)
     # a level column that is not a unit vector (or is poisoned) breaks the
     # unitarity of every kick
@@ -303,7 +303,7 @@ def test_propagate_checks_norm_invariant(monkeypatch, scale):
 def test_compare_grid_mismatch():
     sd = Semicircle(eta=1.0)
     drive = DrivingField(mean=0.0, amplitude=0.0)
-    a = oracle.propagate(sd, 0.0, drive, TimeGrid(0.0, 0.1, 10))
-    b = oracle.propagate(sd, 0.0, drive, TimeGrid(0.0, 0.1, 11))
+    a = oracle.propagate(sd, 0.0, drive, TimeGrid(0.1, 10))
+    b = oracle.propagate(sd, 0.0, drive, TimeGrid(0.1, 11))
     with pytest.raises(GridMismatch):
         oracle.compare(a, b)

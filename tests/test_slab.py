@@ -32,7 +32,7 @@ def _layers(tab):
               for m in (2.5, 1.0, -0.5)]
     # blocks of 64 nodes: the square at node 256 is 16 pieces of 16 at a
     # 64-element slab, and the last square ends inside its second piece
-    grid = TimeGrid(0.0, 0.01, 333)
+    grid = TimeGrid(0.01, 333)
     out = {
         "phase sum, uniform": phase_sum(x, w, 0.01 * np.arange(3000)),
         "phase sum, scattered": phase_sum(x, w, rng.uniform(-30, 30, 500)),

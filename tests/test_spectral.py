@@ -634,7 +634,7 @@ def test_u0_matches_lattice_model():
     from drivenlevel.driving import DrivingField
     from drivenlevel.volterra import TimeGrid
 
-    grid = TimeGrid(0.0, 0.01, 2000)
+    grid = TimeGrid(0.01, 2000)
     drive = DrivingField(mean=2.5, amplitude=0.0)
     ref = oracle.propagate(sd, 0.0, drive, grid)
     u = compute_u0(sd, 2.5, grid.times())

@@ -181,8 +181,8 @@ def test_single_point_matches_direct_evolution(tmp_path):
     run_sweep(spec)
     row = read_rows(out)[0]
 
-    grid = aligned_grid(0.0, 20.0, 0.02, DRIVE)
-    fine, est = convergence_check(kernel_for(SD), 0.0, DRIVE, grid)
+    grid = aligned_grid(20.0, 0.02, DRIVE)
+    (fine,), (est,) = convergence_check(kernel_for(SD), 0.0, [DRIVE], grid)
     metric = survival_metric(fine, (10.0, 20.0))
     assert float(row["metric"]) == pytest.approx(metric, rel=1e-9)
     assert float(row["error_estimate"]) == pytest.approx(est, rel=1e-2)

@@ -14,7 +14,7 @@ from drivenlevel.volterra import PropagatorTrace, TimeGrid
 
 
 def sample_trace(n=40):
-    grid = TimeGrid(0.0, 0.05, n)
+    grid = TimeGrid(0.05, n)
     t = grid.times()
     u = np.exp(-1j * 1.7 * t) * np.exp(-0.03 * t)
     return PropagatorTrace(grid, u)
@@ -25,7 +25,7 @@ def test_round_trip_exact(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace(path, tr, config={"note": 7})
     back, meta = read_trace(path)
-    assert back.grid.t0 == tr.grid.t0
+    assert meta["t0"] == 0.0
     assert back.grid.h == tr.grid.h
     assert back.grid.n_steps == tr.grid.n_steps
     # 17 significant digits reproduce doubles exactly
@@ -48,7 +48,7 @@ def test_extra_columns_round_trip(tmp_path):
 def _write_trace_csv_writer(path, trace, config, extra_columns=None):
     """Reference writer: one csv.writer row per node, one format per cell."""
     grid = trace.grid
-    meta = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "t0": grid.t0,
+    meta = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "t0": 0.0,
             "h": grid.h, "n_steps": grid.n_steps, "config": config}
     extras = extra_columns or {}
     u = trace.values
@@ -68,7 +68,7 @@ def test_write_matches_csv_writer_bytes(tmp_path, monkeypatch, with_extras):
     # chunk, the last one short), with values whose text is unusual; a
     # 64-element slab writes 8 rows a chunk
     monkeypatch.setattr(oscquad, "_SLAB", 64)
-    grid = TimeGrid(-3.0, 1e-3, 2 * 8 + 7)
+    grid = TimeGrid(1e-3, 2 * 8 + 7)
     t = grid.times()
     u = np.exp(-1j * 1.7 * t) * np.exp(-0.03 * t)
     # signed zeros, subnormals, huge values, non-finite values and values
@@ -106,11 +106,12 @@ def test_foreign_format_rejected(tmp_path):
 
 @pytest.mark.parametrize("key, value, message", [
     ("t0", None, "metadata.t0 is required"),
+    ("t0", -3.0, "metadata.t0 is -3, but a trace starts at t = 0"),
     ("h", None, "metadata.h is required"),
     ("n_steps", None, "metadata.n_steps is required"),
     ("h", -0.05, "metadata grid: need h > 0"),
     ("n_steps", 0, "metadata grid: need h > 0"),
-], ids=["t0-missing", "h-missing", "n_steps-missing", "h-negative",
+], ids=["t0-missing", "t0-shifted", "h-missing", "n_steps-missing", "h-negative",
         "n_steps-zero"])
 def test_bad_grid_metadata_rejected(tmp_path, key, value, message):
     # value None deletes the key
@@ -219,7 +220,7 @@ def _peak_per_rows(traced_peak, write, rows):
     """write's traced peak for each row count; its arrays are built first."""
     peaks = []
     for n in rows:
-        grid = TimeGrid(0.0, 0.01, n)
+        grid = TimeGrid(0.01, n)
         t = grid.times()
         u = np.exp(-1j * 1.7 * t) * np.exp(-0.03 * t)
         peaks.append(traced_peak(write, grid, t, u, np.abs(u))[1])
