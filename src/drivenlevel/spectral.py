@@ -266,10 +266,12 @@ class Tabulated:
         ratio would cancel against its -b*(x1 - x0); there, with
         d = eps - x1 and s = (x1 - x0)/d, the cell is
         J(x0)*log1p(s) + b*d*((1 + s) log1p(s) - s), which keeps full
-        relative precision however far eps lies.  Where eps - x0 is below
-        the rounding of d, 1 + s rounds to 0 and log1p to -inf; there the
-        log is log|eps - x0| - log|d| and 1 + s is (eps - x0)/d, so the
-        shift is finite at every float off the band.  Inside a band the cells'
+        relative precision however far eps lies.  Within a cell width below
+        x0 (s < -1/2) 1 + s would keep only the digits of eps - x0 that the
+        rounding of s leaves, and none once it rounds to 0; there the log
+        is log|eps - x0| - log|d| and 1 + s is (eps - x0)/d, so the shift
+        keeps its precision up to the band and is finite at every float off
+        it.  Inside a band the cells'
         rounding adds up: on the 4001-node tabulated semicircle the result
         is 1.5e-14 relative off a 40-digit cell sum at eps = 0.7 (6.8e-16
         at eps = -1.3).
@@ -306,11 +308,11 @@ class Tabulated:
                 s = dx / d
                 with np.errstate(divide="ignore", invalid="ignore"):
                     log1p, excess = np.log1p(s), _excess(s)
-                lost = s == -1.0
-                if lost.any():
-                    near = (flat[r, None] - x[:-1])[lost]
-                    log1p[lost] = np.log(np.abs(near)) - np.log(-d[lost])
-                    excess[lost] = near / d[lost] * log1p[lost] + 1.0
+                below = s < -0.5
+                if below.any():
+                    near = (flat[r, None] - x[:-1])[below]
+                    log1p[below] = np.log(np.abs(near)) - np.log(-d[below])
+                    excess[below] = near / d[below] * log1p[below] - s[below]
                 total[r] += np.sum(jv[:-1] * log1p + b * d * excess, axis=1)
         total /= 2.0 * np.pi
         if eps.ndim == 0:
@@ -325,9 +327,10 @@ class Tabulated:
         J is continuous inside a band, so neighbouring cells' lines meet at
         each interior node and the c/(eps - x) terms telescope to the
         band's own ends, J(lo)/(eps - lo) - J(hi)/(eps - hi).  The log
-        ratio is log|1 + r| with r = (x1 - x0)/(eps - x1), taken by log1p
-        off the cell, so it keeps full relative precision where it is
-        small, and as in `shift` where 1 + r rounds to 0.
+        ratio is log|1 + r| with r = (x1 - x0)/(eps - x1), taken by log1p,
+        so it keeps full relative precision where it is small, and as in
+        `shift`, log|eps - x0| - log|eps - x1|, where r < -1/2 (in the
+        cell or within its width below it).
 
         Exactly at a table node the log ratios of its two cells meet as
         +inf and -inf.  Regrouped by node, the log terms are
@@ -348,10 +351,10 @@ class Tabulated:
                 continue
             with np.errstate(divide="ignore", invalid="ignore"):
                 r = dx / (eps - x[1:])
-                log_ratio = np.where(r > -1.0, np.log1p(r), np.log(-1.0 - r))
-            lost = r == -1.0
-            log_ratio[lost] = (np.log(np.abs(eps - x[:-1][lost]))
-                               - np.log(np.abs(eps - x[1:][lost])))
+                log_ratio = np.log1p(r)
+            near = r < -0.5
+            log_ratio[near] = (np.log(np.abs(eps - x[:-1][near]))
+                               - np.log(np.abs(eps - x[1:][near])))
             total += float(b @ log_ratio) + ends
         return total / (2.0 * np.pi)
 

@@ -677,7 +677,8 @@ def test_tabulated_shift_vectorized_matches_scalar(make):
     lambda: make_tabulated(eta=0.9, n=301)[1], two_band_table])
 def test_tabulated_shift_matches_plain_cell_sum(make):
     # the cell sum written plainly, one temporary per operation: the
-    # telescoped log form for points in a band, the log1p form off it.
+    # telescoped log form for points in a band, the log1p form off it
+    # (from e - x0 itself within a cell width below a cell).
     # The slab form in the package does the same arithmetic on each point,
     # so it must agree bit for bit, at table nodes and band edges too
     sd = make()
@@ -694,10 +695,14 @@ def test_tabulated_shift_matches_plain_cell_sum(make):
         inside = (np.sum(c * (logs[:, :-1] - logs[:, 1:]), axis=1)
                   - np.sum(b * dx))
         d1 = e - x[1:]
+        near = e - x[:-1]
         with np.errstate(divide="ignore", invalid="ignore"):
             s = dx / d1
-            outside = np.sum(jv[:-1] * np.log1p(s)
-                             + b * d1 * spectral._excess(s), axis=1)
+            below = s < -0.5
+            log = np.where(below, np.log(np.abs(near)) - np.log(np.abs(d1)),
+                           np.log1p(s))
+            excess = np.where(below, near / d1 * log - s, spectral._excess(s))
+            outside = np.sum(jv[:-1] * log + b * d1 * excess, axis=1)
         want += np.where((eps >= lo) & (eps <= hi), inside, outside)
     assert np.array_equal(sd.shift(eps),
                           want / (2.0 * np.pi))
@@ -741,6 +746,19 @@ def test_tabulated_shift_is_finite_just_below_a_band():
         assert sd.shift(eps) == pytest.approx(want, rel=1e-14, abs=0.0)
         assert self_energy(sd, eps).delta == sd.shift(eps)
         assert np.isfinite(self_energy_derivative(sd, eps - 1e-9))
+
+
+def test_tabulated_shift_keeps_its_digits_just_below_a_cell():
+    # J(x0) > 0: with 1 + s formed from the rounded s the shift lost
+    # digits within a cell width below x0, 3.0e-6 / 2.3e-5 / 2.9e-3 /
+    # 1.6e-2 relative at these four points
+    sd = Tabulated((0.0, 1.0, 2.0), (0.5, 1.0, 0.5), ((0.0, 2.0),))
+    for eps in (-1e-12, -1e-14, -1e-15, -1.2e-16):
+        assert sd.shift(eps) == pytest.approx(
+            _tabulated_shift_mp(sd, eps), rel=1e-15, abs=0.0), eps
+        assert sd.shift_slope(eps) == pytest.approx(
+            _tabulated_shift_slope_mp(sd, eps), rel=1e-15,
+            abs=0.0), eps
 
 
 def test_tabulated_shift_chunks_agree(monkeypatch):
