@@ -757,8 +757,7 @@ def test_tabulated_shift_keeps_its_digits_just_below_a_cell():
         assert sd.shift(eps) == pytest.approx(
             _tabulated_shift_mp(sd, eps), rel=1e-15, abs=0.0), eps
         assert sd.shift_slope(eps) == pytest.approx(
-            _tabulated_shift_slope_mp(sd, eps), rel=1e-15,
-            abs=0.0), eps
+            _tabulated_shift_slope_mp(sd, eps), rel=1e-15, abs=0.0), eps
 
 
 def test_tabulated_shift_chunks_agree(monkeypatch):

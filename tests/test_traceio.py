@@ -111,8 +111,8 @@ def test_foreign_format_rejected(tmp_path):
     ("n_steps", None, "metadata.n_steps is required"),
     ("h", -0.05, "metadata grid: need h > 0"),
     ("n_steps", 0, "metadata grid: need h > 0"),
-], ids=["t0-missing", "t0-shifted", "h-missing", "n_steps-missing", "h-negative",
-        "n_steps-zero"])
+], ids=["t0-missing", "t0-shifted", "h-missing", "n_steps-missing",
+        "h-negative", "n_steps-zero"])
 def test_bad_grid_metadata_rejected(tmp_path, key, value, message):
     # value None deletes the key
     path = tmp_path / "trace.csv"

@@ -265,8 +265,7 @@ def test_convergence_check_is_two_evolves(kinked_two_band):
     drive = DrivingField(mean=0.2, period=1.25, shape="sine", amplitude=0.5)
     grid = aligned_grid(5.0, 0.02, drive)
     half = TimeGrid(0.5 * grid.h, 2 * grid.n_steps)
-    fine, est = convergence_check(kern, 0.0, [drive], grid)
-    fine, est = fine[0], est[0]
+    (fine,), (est,) = convergence_check(kern, 0.0, [drive], grid)
     coarse = evolve(kern, 0.0, drive, grid)
     direct = evolve(kern, 0.0, drive, half)
     assert fine.grid == half
