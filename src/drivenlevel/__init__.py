@@ -17,12 +17,10 @@ _EXPORTS = {
     "config": ("RunConfig", "load_config"),
     "driving": ("DrivingField",),
     "errors": ("ConfigError", "DrivenLevelError", "GridMismatch",
-               "QuadratureFailure", "StepTooLarge", "TooCloseToBandEdge",
-               "WindowOutOfRange"),
+               "QuadratureFailure", "StepTooLarge", "WindowOutOfRange"),
     "kernel": ("QuadratureKernel", "SemicircleKernel", "kernel_for"),
-    "spectral": ("BoundState", "SelfEnergyValue", "Semicircle",
-                 "SystemSpectrum", "Tabulated", "compute_u0", "eval_j",
-                 "find_bound_states", "self_energy",
+    "spectral": ("BoundState", "Semicircle", "SystemSpectrum", "Tabulated",
+                 "compute_u0", "eval_j", "find_bound_states", "self_energy",
                  "self_energy_derivative", "spectrum"),
     "sweep": ("SweepAxis", "run_sweep"),
     "traceio": ("read_trace", "write_trace"),

@@ -17,10 +17,6 @@ class QuadratureFailure(DrivenLevelError):
     """A quadrature did not converge, or its result broke an invariant."""
 
 
-class TooCloseToBandEdge(DrivenLevelError):
-    """Requested evaluation point sits inside the band-edge exclusion floor."""
-
-
 class StepTooLarge(DrivenLevelError):
     """Time step violates a solver precondition or failed step-halving check."""
 

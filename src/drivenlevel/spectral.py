@@ -37,12 +37,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oscquad
-from .errors import ConfigError, QuadratureFailure, TooCloseToBandEdge
+from .errors import ConfigError, QuadratureFailure
 from .oscquad import angle_band_integral, phase_sum
 
 EDGE_COLLAR = 1e-6          # a root this close to a band edge is bisected
 #                             to the float spacing, not to TOL_ROOT
-DERIVATIVE_FLOOR = 1e-9     # refuse derivative evaluation closer than this
 TOL_ROOT = 1e-12
 U0_BOUND_SLACK = 1e-6       # |u0| <= 1 by the sum rule; quadrature slack
 U0_TOL = 1e-8               # relative tolerance of each u0 band integral
@@ -454,14 +453,6 @@ def _lanczos(e, couplings, span):
 
 
 @dataclass(frozen=True)
-class SelfEnergyValue:
-    """Retarded self-energy split as Sigma = delta - i*j/2."""
-
-    delta: float
-    j: float
-
-
-@dataclass(frozen=True)
 class BoundState:
     energy: float
     residue: float
@@ -489,24 +480,22 @@ def eval_j(sd, eps):
 
 
 def self_energy(sd, eps):
-    """SelfEnergyValue at real eps: level shift and local J."""
-    return SelfEnergyValue(sd.shift(float(eps)), float(eval_j(sd, eps)))
+    """Sigma(eps + i0) = Delta(eps) - i J(eps)/2 at real eps: a complex at
+    a scalar eps, a complex array of its shape at an array."""
+    eps = np.asarray(eps, dtype=float)
+    out = sd.shift(eps) - 0.5j * sd.j(eps)
+    if np.ndim(out) == 0:
+        return complex(out)
+    return out
 
 
 def self_energy_derivative(sd, eps):
-    """d Delta / d eps at real eps.
-
-    Diverges at band edges, so evaluation inside DERIVATIVE_FLOOR of an
-    edge raises TooCloseToBandEdge; see the density's `shift_slope`.
-    """
+    """d Delta / d eps at real eps, the density's `shift_slope`, at every
+    eps: -inf where it diverges (a semicircle edge met from outside), and
+    -+inf at a table node where the slope jumps."""
     if sd.decoupled:
         return 0.0
-    eps = float(eps)
-    dist = min(abs(eps - e) for lohi in sd.band for e in lohi)
-    if dist < DERIVATIVE_FLOOR:
-        raise TooCloseToBandEdge(
-            f"eps={eps} is within {dist:.2e} of a band edge")
-    return sd.shift_slope(eps)
+    return sd.shift_slope(float(eps))
 
 
 def _bisect(f, a, b, xtol, negative=None):
@@ -548,7 +537,7 @@ def find_bound_states(sd, eps_on):
     collar the root is bisected there, to the float spacing and never onto
     the edge.  Residues are 1/(1 - Delta'(eps_l)), from the density's
     `shift_slope`; Delta' diverges at an edge, so a state near one has Z
-    near 0, and none raises TooCloseToBandEdge.
+    near 0.
 
     Returns BoundState list sorted by energy (possibly empty).
     """

@@ -136,8 +136,8 @@ EAGER_EXPORTS = (
     "late_window_peaks", "survival_metric", "RunConfig", "load_config",
     "DrivingField", "ConfigError", "DrivenLevelError",
     "GridMismatch", "QuadratureFailure", "StepTooLarge",
-    "TooCloseToBandEdge", "WindowOutOfRange", "QuadratureKernel",
-    "SemicircleKernel", "kernel_for", "BoundState", "SelfEnergyValue",
+    "WindowOutOfRange", "QuadratureKernel",
+    "SemicircleKernel", "kernel_for", "BoundState",
     "Semicircle", "SystemSpectrum", "Tabulated", "compute_u0", "eval_j",
     "find_bound_states", "self_energy", "self_energy_derivative", "spectrum",
     "SweepAxis", "run_sweep", "read_trace", "write_trace", "PropagatorTrace",
