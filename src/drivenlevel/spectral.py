@@ -5,7 +5,9 @@ coupling-weighted density of states is J(eps).  Everything static about the
 coupled system follows from J: the level-shift function Delta(eps) (a
 principal-value transform of J), discrete levels split off outside the band
 where eps - eps_on - Delta(eps) = 0, their residues, the continuum spectral
-weight, and the free survival amplitude u0(t).
+weight, and the free survival amplitude u0(t).  On the real axis the
+retarded self-energy is one complex function, `self_energy`:
+Sigma(eps + i0) = Delta(eps) - i J(eps)/2.
 
 Each density, `Semicircle` or `Tabulated`, has every formula that differs
 between the two, which the shared functions below call: its config
@@ -20,14 +22,19 @@ The sum rule and u0 are one spectral sum, `_spectral_sum`: the bound
 states' Z e^{-iEt} plus (1/2pi) times one `oscquad.angle_band_integral`
 per band, the sum rule at t = 0 to 1e-10 and u0 at its times to U0_TOL.
 Every band is broken at the same points, by one rule: its interior
-resonances and its density's `breaks`.  A level inside the band leaves
-one continuum peak, at the root of eps - eps_on - Delta, whose width
-shrinks like eta^2 at weak coupling; at a break the angle substitution
-clusters nodes, so the peak costs few nodes however narrow it is (a
-table's breaks are its kinks, see `Tabulated`).  On 20 001 times in
-[0, 200], a semicircle level in the band at eta 0.05 / 0.02 / 0.01 /
-0.005 ends at 3 264 / 6 528 / 13 056 / 26 112 final nodes; unbroken at
-the peak it took 25 600 / 204 800 / 819 200 nodes and failed at 0.005.
+resonances, its density's `breaks` and, at an edge near a threshold,
+the edge ladder.  A level inside the band leaves one continuum peak, at
+the root of eps - eps_on - Delta, whose width shrinks like eta^2 at weak
+coupling; at a break the angle substitution clusters nodes, so the peak
+costs few nodes however narrow it is (a table's breaks are its kinks,
+see `Tabulated`).  On 20 001 times in [0, 200], a semicircle level in
+the band at eta 0.05 / 0.02 / 0.01 / 0.005 ends at 3 264 / 6 528 /
+13 056 / 26 112 final nodes; unbroken at the peak it took 25 600 /
+204 800 / 819 200 nodes and failed at 0.005.  Near a threshold the
+peak sits at the band edge, and the ladder breaks it at every scale
+(`_edge_breaks`): on `Semicircle()` at 1 + 1e-5 the sum rule takes
+1 904 evaluations, against 2.1 million without them, and at 1 + 1e-6
+as many, where 2^21 failed.
 """
 
 import math
@@ -338,7 +345,9 @@ class Tabulated:
         """
         total = 0.0
         for (lo, hi), (x, jv, dx, b, jumps) in zip(self.band, self.cells):
-            ends = jv[0] / (eps - lo) - jv[-1] / (eps - hi)
+            # not finite at a band edge, where the slope jump decides
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ends = jv[0] / (eps - lo) - jv[-1] / (eps - hi)
             hit = np.flatnonzero(x == eps)
             if hit.size:
                 if jumps[hit[0]] != 0.0:
@@ -620,13 +629,56 @@ def _band_resonances(sd, eps_on):
     return sorted(pts)
 
 
+# the edge ladder of `_edge_breaks`: where |phi(edge)| < _EDGE_NEAR band
+# widths, breaks at edge -+ k for k = _EDGE_START max(|edge|, width) (a few
+# floats) times powers of _EDGE_RATIO below a quarter of the band.
+# Integrand evaluations of `spectrum` plus `compute_u0` (501 times to t =
+# 50), summed over 13 levels within 1e-3 of a threshold (`Semicircle()` at
+# 1 -+ 1e-3 ... 1e-6 and 1 - 1e-7; a two-band 9-node table at eps_c -+
+# 1e-3, eps_c + 1e-5 and eps_c - 1e-7; 10 million with no ladder, and one
+# failed), over starts 2^-52 ... 2^-40: ratio 2 / 4 / 8 / 16 / 32 took
+# 107-130k / 64-78k / 44-63k / 63-73k / 56-69k, each sum rule within
+# 1e-10 except at 2^-42 (1 - 1e-7: 1.05e-10).  A start of 2^-36 took 25x
+# more at 1 -+ 1e-9.
+# Summed over both sides of both densities, at |phi(edge)| of 3e-3 / 5e-3
+# / 1e-2 band widths the ladder took 29 920 evaluations against 37 632 /
+# 25 472 / 15 424 without it
+_EDGE_NEAR = 4e-3
+_EDGE_START = 2.0 ** -50
+_EDGE_RATIO = 8.0
+
+
+def _edge_breaks(sd, eps_on, lo, hi):
+    """Breaks inside [lo, hi] at each of its edges near a threshold.
+
+    Near a threshold, phi(edge) = edge - eps_on - `edge_shift` is small,
+    and the continuum weight peaks within a distance of the edge that
+    shrinks with phi(edge): like phi^2 beside a semicircle's square-root
+    edge, like phi beside a table edge where J is zero.  The ladder of
+    breaks edge -+ k, geometric in k, puts a piece end at every scale from
+    a few floats off the edge to a quarter of the band, so that peak, at
+    whatever scale, sits in a piece not much wider than its distance to
+    the edge, where the angle substitution resolves it with few nodes.
+    """
+    out = []
+    for edge, side in ((lo, -1.0), (hi, 1.0)):
+        phi = edge - eps_on - sd.edge_shift(edge, side)
+        if abs(phi) < _EDGE_NEAR * (hi - lo):
+            k = _EDGE_START * max(abs(edge), hi - lo)
+            while k < 0.25 * (hi - lo):
+                out.append(edge - side * k)
+                k *= _EDGE_RATIO
+    return out
+
+
 def _spectral_sum(sd, eps_on, times, tol):
     """(bound states, sum_l Z_l e^{-i eps_l t} + (1/2pi) sum_bands
     int A(e) e^{-iet} de) at the given times, each band integral to tol.
 
     Every band is broken at its interior resonances, where the continuum
-    weight peaks, and at its density's breaks.  A band integral that does
-    not converge raises QuadratureFailure.
+    weight peaks, at its density's breaks and, at an edge near a
+    threshold, on the edge ladder (`_edge_breaks`).  A band integral that
+    does not converge raises QuadratureFailure.
     """
     bound = find_bound_states(sd, eps_on)
     out = phase_sum([s.energy for s in bound], [s.residue for s in bound],
@@ -634,7 +686,8 @@ def _spectral_sum(sd, eps_on, times, tol):
     f = lambda e: band_spectral_function(sd, eps_on, e)
     resonances = _band_resonances(sd, eps_on)
     for i, (lo, hi) in enumerate(sd.band):
-        breaks = np.concatenate((resonances, sd.breaks[i]))
+        breaks = np.concatenate((resonances, sd.breaks[i],
+                                 _edge_breaks(sd, eps_on, lo, hi)))
         out += (angle_band_integral(f, lo, hi, times, tol=tol, breaks=breaks)
                 / (2.0 * np.pi))
     return bound, out

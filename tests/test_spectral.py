@@ -301,6 +301,53 @@ def test_derivative_near_a_band_edge_matches_mpmath():
         want, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Semicircle(eta=0.8, eps0=0.3, v0=1.2),
+    lambda: make_tabulated(eta=0.9, n=301)[1], lambda: two_band_table()])
+def test_self_energy_is_one_complex_sigma(make):
+    # Sigma(eps + i0) = Delta - i J/2: an array gives each scalar call's
+    # value, bit for bit, and the density's own shift and J
+    sd = make()
+    eps = np.concatenate([np.linspace(-4.0, 4.0, 257),
+                          [e for lohi in sd.band for e in lohi]])
+    sigma = self_energy(sd, eps)
+    assert sigma.dtype == complex and sigma.shape == eps.shape
+    scalar = [self_energy(sd, e) for e in eps]
+    assert all(type(z) is complex for z in scalar)
+    assert np.array_equal(sigma, scalar)
+    assert np.array_equal(sigma.real, sd.shift(eps))
+    assert np.array_equal(sigma.imag, -sd.j(eps) / 2)
+    assert self_energy(sd, eps.reshape(1, -1)).shape == (1, eps.size)
+
+
+def test_derivative_at_and_near_band_edges(kinked_two_band):
+    # the slope at every energy: inside, just outside and at a band edge
+    mp = pytest.importorskip("mpmath")
+    sd = Semicircle(eta=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for edge in (-2.0, 2.0):
+            for d in (1e-12, 1e-9, 1e-6):
+                inside = edge - math.copysign(d, edge)
+                assert self_energy_derivative(sd, inside) == 0.5
+                x = mp.mpf(edge + math.copysign(d, edge))
+                with mp.workdps(50):
+                    want = float((1 - abs(x) / mp.sqrt(x * x - 4)) / 2)
+                assert self_energy_derivative(sd, float(x)) == \
+                    pytest.approx(want, rel=1e-13, abs=0.0)
+            assert self_energy_derivative(sd, edge) == -np.inf
+        # a table edge with J > 0, where Delta diverges like log, and the
+        # J = 0 edges of a gap, where the slope diverges like log
+        for tab, edges in ((STEP_EDGES, (0.0, 2.0)),
+                           (kinked_two_band, (-1.0, 1.0))):
+            for edge in edges:
+                for d in (-1e-6, -1e-9, -1e-12, 1e-12, 1e-9, 1e-6):
+                    assert self_energy_derivative(tab, edge + d) == \
+                        pytest.approx(_tabulated_shift_slope_mp(tab, edge + d),
+                                      rel=1e-14, abs=0.0), (edge, d)
+                assert self_energy_derivative(tab, edge) == -np.inf
+
+
 def test_single_bound_state_frozen():
     sd = Semicircle(eta=1.0)
     t0 = time.perf_counter()
@@ -495,6 +542,50 @@ def test_a_narrow_gap_between_log_divergent_edges_holds_a_state():
     assert below.energy < 0.0 and 2.0 < above.energy
     assert 1.0 < gap.energy < 1.0 + 1e-7
     assert 0.0 < gap.residue < 1e-6
+
+
+# a two-band 9-node table with J = 0 at every edge (the benchmark's
+# tabulated family, seed 0); its upper gap closes at eps_c = 1 - Delta(1)
+NEAR_TABLE = Tabulated(
+    (-3.0, -2.75, -2.5, -2.25, -2.0, -1.75, -1.5, -1.25, -1.0,
+     1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5, 2.75, 3.0),
+    (0.0, 0.5591385435566961, 1.026233683733406, 1.3560285376030845,
+     1.3791815655712394, 1.2585520345058494, 0.9544418794401045,
+     0.514748735685484, 0.0,
+     0.0, 0.5342888150896089, 1.0128468803481532, 1.2708813850498093,
+     1.3907554950462737, 1.3539288453938902, 1.0045733898115254,
+     0.5675950921084056, 0.0),
+    ((-3.0, -1.0), (1.0, 3.0)))
+
+
+@pytest.mark.parametrize("which, offset, sum_tol", [
+    *(("semicircle", side * 10.0 ** -k, 1e-10)
+      for k in (3, 4, 5, 6) for side in (1, -1)),
+    ("semicircle", -1e-7, 1e-10),
+    # the floor of floats, not of the quadrature: 1e-14 past the edge the
+    # root's rounding moves Z ~ 2e-7 by 2.3e-9, and a level 1e-9 or
+    # 1e-11 inside leaves its peak below the float spacing at the edge,
+    # where node positions and J round (-6.0e-9 and -6.9e-9)
+    ("semicircle", 1e-7, 1e-8), ("semicircle", -1e-9, 1e-8),
+    ("semicircle", -1e-11, 1e-8),
+    *(("table", offset, 1e-10) for offset in (1e-3, -1e-3, 1e-5, -1e-7)),
+    # the root, bisected to TOL_ROOT, moves Z by 9.9e-10 (Z' is 7e3 there);
+    # at 1e-7 inside, the shift's rounding leaves phi 1e-9 relative noise
+    ("table", -1e-5, 2e-9), ("table", 1e-7, 1e-9)])
+def test_sums_near_a_threshold_converge(band_nodes, which, offset, sum_tol):
+    # the continuum weight peaks within phi(edge)^2 (a semicircle) or
+    # about phi(edge) (a table edge with J = 0) of the edge; the edge
+    # ladder of breaks resolves it, where 2^21 nodes failed at 1 + 1e-6
+    # and at eps_c + 1e-7, 2 million were spent at 1 + 1e-5, and 1 - 1e-7
+    # met its sum rule only to 1e-7
+    sd = Semicircle() if which == "semicircle" else NEAR_TABLE
+    eps_on = (1.0 if which == "semicircle" else 1.0 - sd.shift(1.0)) + offset
+    assert abs(spectrum(sd, eps_on).sum_rule - 1.0) <= sum_tol
+    assert sum(map(sum, band_nodes)) <= 1 << 17
+    band_nodes.clear()
+    u = compute_u0(sd, eps_on, np.linspace(0.0, 50.0, 501))
+    assert np.all(np.abs(u) <= 1.0 + spectral.U0_BOUND_SLACK)
+    assert sum(map(sum, band_nodes)) <= 1 << 15
 
 
 def test_sum_rule_three_parameter_sets():
