@@ -303,7 +303,8 @@ def test_derivative_near_a_band_edge_matches_mpmath():
 
 @pytest.mark.parametrize("make", [
     lambda: Semicircle(eta=0.8, eps0=0.3, v0=1.2),
-    lambda: make_tabulated(eta=0.9, n=301)[1], lambda: two_band_table()])
+    lambda: make_tabulated(eta=0.9, n=301)[1], lambda: two_band_table()],
+    ids=["semicircle", "table", "two-band-table"])
 def test_self_energy_is_one_complex_sigma(make):
     # Sigma(eps + i0) = Delta - i J/2: an array gives each scalar call's
     # value, bit for bit, and the density's own shift and J
