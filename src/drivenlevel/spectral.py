@@ -638,8 +638,8 @@ def _band_resonances(sd, eps_on):
 # 1e-3, eps_c + 1e-5 and eps_c - 1e-7; 10 million with no ladder, and one
 # failed), over starts 2^-52 ... 2^-40: ratio 2 / 4 / 8 / 16 / 32 took
 # 107-130k / 64-78k / 44-63k / 63-73k / 56-69k, each sum rule within
-# 1e-10 except at 2^-42 (1 - 1e-7: 1.05e-10).  A start of 2^-36 took 25x
-# more at 1 -+ 1e-9.
+# 1e-10 but at a start of 2^-42 with ratios 2-8 (1 - 1e-7: 1.05e-10 at
+# ratio 8).  A start of 2^-36 took 25x more at 1 -+ 1e-9.
 # Summed over both sides of both densities, at |phi(edge)| of 3e-3 / 5e-3
 # / 1e-2 band widths the ladder took 29 920 evaluations against 37 632 /
 # 25 472 / 15 424 without it
