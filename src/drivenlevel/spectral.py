@@ -15,8 +15,8 @@ between the two, which the shared functions below call: its config
 form, or summed exactly cell by cell), Delta's one-sided limit at a band
 edge (`edge_shift`) and the oracle's `chain`; when made, it builds its
 `weight`, `decoupled`, `breaks`, `hop_bound` and a table's `cells`.
-Levels are found by bisection on closed-form brackets, so numpy is the
-only dependency.  hbar = 1; eps_on absorbs the system's bare energy.
+Levels are bisected on the ordering of the floats (`_bisect`), so numpy
+is the only dependency.  hbar = 1; eps_on absorbs the system's bare energy.
 
 The sum rule and u0 are one spectral sum, `_spectral_sum`: the bound
 states' Z e^{-iEt} plus (1/2pi) times one `oscquad.angle_band_integral`
@@ -38,6 +38,7 @@ as many, where 2^21 failed.
 """
 
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -47,9 +48,9 @@ from . import oscquad
 from .errors import ConfigError, QuadratureFailure
 from .oscquad import angle_band_integral, phase_sum
 
-EDGE_COLLAR = 1e-6          # a root this close to a band edge is bisected
-#                             to the float spacing, not to TOL_ROOT
-TOL_ROOT = 1e-12
+# the resonance scan's inset from each band edge: on an edge node where
+# J > 0 a table's shift drops the log divergence
+_SCAN_INSET = 1e-6
 U0_BOUND_SLACK = 1e-6       # |u0| <= 1 by the sum rule; quadrature slack
 U0_TOL = 1e-8               # relative tolerance of each u0 band integral
 _MAX_PIECES = 64            # pieces a table band is broken into, at most
@@ -507,24 +508,34 @@ def self_energy_derivative(sd, eps):
     return sd.shift_slope(float(eps))
 
 
-def _bisect(f, a, b, xtol, negative=None):
-    """A sign change of f inside [a, b] (f(a) and f(b) of opposite sign).
+def _bisect(f, a, b, negative=None):
+    """The float where f changes sign inside [a, b] (f(a) and f(b) of
+    opposite sign).
 
-    Halves the bracket until it is at most xtol wide, or until the midpoint
-    no longer falls strictly inside it (xtol below the float spacing).
-    negative, if given, says that f is negative at a, which is then not
-    evaluated.
+    Each step halves the count of floats between the ends, not their
+    distance, down to two adjacent floats, so it takes at most 64 steps
+    inside [-max float, max float], however wide the bracket and however
+    near 0 the root.  Of those two floats it returns the one where |f|
+    is smaller, and only one it evaluated.  negative, if given, says that
+    f is negative at a, which is then not evaluated (nor b, ever).
     """
+    # a float's place among the floats, adjacent ones 1 apart: the bits of
+    # its magnitude as an integer, with its sign (-0.0 and 0.0 share 0)
+    ka, kb = ((-1 if x < 0.0 else 1) * int(np.float64(abs(x)).view(np.int64))
+              for x in (a, b))
+    fa = fb = math.inf      # |f| at each end, inf where not evaluated
     if negative is None:
-        negative = f(a) < 0.0
-    m = 0.5 * (a + b)
-    while b - a > xtol and a < m < b:
-        if (f(m) < 0.0) == negative:
-            a = m
+        fa = f(a)
+        negative, fa = fa < 0.0, abs(fa)
+    while kb - ka > 1:
+        km = (ka + kb) // 2
+        m = math.copysign(float(np.int64(abs(km)).view(np.float64)), km)
+        fm = f(m)
+        if (fm < 0.0) == negative:
+            ka, a, fa = km, m, abs(fm)
         else:
-            b = m
-        m = 0.5 * (a + b)
-    return m
+            kb, b, fb = km, m, abs(fm)
+    return a if fa < fb else b
 
 
 def find_bound_states(sd, eps_on):
@@ -535,18 +546,14 @@ def find_bound_states(sd, eps_on):
     each gap holds at most one root: exactly when phi's limits at the
     gap's ends straddle 0, by the density's `edge_shift` at a band edge
     and -inf, +inf at the open ends.  A level at a threshold, where a
-    limit is 0, is not bound.  The root is bisected to TOL_ROOT on
-    phi(a) < 0 < phi(b), a and b EDGE_COLLAR inside the gap's edges.  The
-    unbounded gaps get a closed-form bracket: off the band
-    |Delta(eps)| <= g0 / dist(eps, band), with g0 the total weight, so phi
-    changes sign within reach = sqrt(g0) + 1 past max(eps_on, band top)
-    (or below min(eps_on, band bottom)), or one float past it where reach
-    is below the float spacing there.  Near a threshold the binding energy
-    grows like (eps_on - eps_c)^2, so where phi changes sign inside the
-    collar the root is bisected there, to the float spacing and never onto
-    the edge.  Residues are 1/(1 - Delta'(eps_l)), from the density's
-    `shift_slope`; Delta' diverges at an edge, so a state near one has Z
-    near 0.
+    limit is 0, is not bound.  The root is `_bisect`ed over the whole gap,
+    its open ends at -+ the largest float (Delta is finite at every float
+    off the band), to the one of the two adjacent floats around phi's sign
+    change where |phi| is smaller; the gap's ends are never evaluated, so
+    never returned.  Residues are 1/(1 - Delta'(eps_l)), from the
+    density's `shift_slope`; Delta' diverges at an edge, so a state near
+    one (the binding energy grows like (eps_on - eps_c)^2 at a threshold)
+    has Z near 0.
 
     Returns BoundState list sorted by energy (possibly empty).
     """
@@ -558,13 +565,6 @@ def find_bound_states(sd, eps_on):
     def phi(e):
         return e - eps_on - sd.shift(e)
 
-    def past(e, step):
-        # e + step, or the next float beyond e where step rounds away
-        if e + step != e:
-            return e + step
-        return math.nextafter(e, math.copysign(math.inf, step))
-
-    reach = math.sqrt(sd.weight) + 1.0
     roots = []
     # the bands are sorted and disjoint, so between the flat list of their
     # edges lie the gaps: (-inf, lo_0), (hi_0, lo_1), ..., (hi_last, inf);
@@ -575,22 +575,11 @@ def find_bound_states(sd, eps_on):
                else -math.inf)
         high = (hi - eps_on - sd.edge_shift(hi, -1.0) if np.isfinite(hi)
                 else math.inf)
-        if not (lo < hi and low < 0.0 < high):
+        a, b = max(lo, -sys.float_info.max), min(hi, sys.float_info.max)
+        if not (math.nextafter(a, b) < b and low < 0.0 < high):
             continue
-        collar = min(EDGE_COLLAR, 0.25 * (hi - lo))
-        a = (lo + collar if np.isfinite(lo)
-             else past(min(eps_on, hi), -reach))
-        b = (hi - collar if np.isfinite(hi)
-             else past(max(eps_on, lo), reach))
-        xtol = TOL_ROOT
-        if not phi(a) < 0.0:
-            a, b, xtol = lo, a, 0.0
-        elif not 0.0 < phi(b):
-            a, b, xtol = b, hi, 0.0
         # phi rises, so it is negative at a (at an edge, by its limit)
-        root = _bisect(phi, a, b, xtol, negative=True)
-        # a midpoint within a float of an edge can round onto it
-        root = min(max(root, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+        root = _bisect(phi, a, b, negative=True)
         residue = 1.0 / (1.0 - sd.shift_slope(root))
         roots.append(BoundState(float(root), float(residue)))
     return sorted(roots, key=lambda s: s.energy)
@@ -599,8 +588,8 @@ def find_bound_states(sd, eps_on):
 def band_spectral_function(sd, eps_on, eps):
     """Continuum weight J / [(eps - eps_on - Delta)^2 + J^2/4] (vectorized)."""
     eps = np.asarray(eps, dtype=float)
-    j = np.asarray(eval_j(sd, eps))
-    delta = np.asarray(sd.shift(eps))
+    j = sd.j(eps)
+    delta = sd.shift(eps)
     # a level far off the band squares to inf, and the weight to its
     # limit 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -614,18 +603,19 @@ def band_spectral_function(sd, eps_on, eps):
 def _band_resonances(sd, eps_on):
     """Roots of eps - eps_on - Delta inside the band (sharp continuum peaks).
 
-    Each band is scanned on 513 points; a sign change between two of them
-    is bisected to 1e-10, and a point where the function is exactly zero
-    is a root itself, so the cells beside it are not searched again.
+    Each band is scanned on 513 points, _SCAN_INSET inside its edges; a
+    sign change between two of them is `_bisect`ed, and a point where the
+    function is exactly zero is a root itself, so the cells beside it are
+    not searched again.
     """
     pts = []
     f = lambda e: e - eps_on - sd.shift(e)
     for lo, hi in sd.band:
-        grid = np.linspace(lo + EDGE_COLLAR, hi - EDGE_COLLAR, 513)
+        grid = np.linspace(lo + _SCAN_INSET, hi - _SCAN_INSET, 513)
         sign = np.sign(grid - eps_on - sd.shift(grid))
         pts.extend(grid[sign == 0.0])
         for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0):
-            pts.append(_bisect(f, grid[i], grid[i + 1], 1e-10))
+            pts.append(_bisect(f, grid[i], grid[i + 1]))
     return sorted(pts)
 
 

@@ -187,19 +187,20 @@ def test_u0_readme_run_matches_direct_path(monkeypatch):
 
 def test_u0_readme_run_frozen_and_node_count(band_nodes):
     # values of the whole-band rule this quadrature replaced (one piece,
-    # 3200 -> 6400 nodes); now 800 -> 1600
+    # 3200 -> 6400 nodes), re-frozen with the bound state on its float
+    # (2.9, 0.84); now 800 -> 1600
     sd = spectral.Semicircle(eta=1.0)
     t = 0.01 * np.arange(20001)
     u = spectral.compute_u0(sd, 2.5, t)
     frozen = {
-        0: 1.0000000000000362 + 0j,
-        1: 0.9996375249212157 - 0.024996562643880373j,
-        250: 0.44692700070875574 - 0.6878622303121295j,
-        3333: -0.6245753567453969 - 0.5621837702642322j,
-        7919: -0.7986303377061447 + 0.26015940908446483j,
-        12500: -0.2912415372936603 + 0.7878921465588662j,
-        17321: 0.7902733074887848 + 0.2847817140770257j,
-        20000: -0.3085842946614102 - 0.781305507941138j,
+        0: 1.0 + 0j,
+        1: 0.9996375249211796 - 0.02499656264387733j,
+        250: 0.4469270007091459 - 0.6878622303118163j,
+        3333: -0.6245753567409226 - 0.5621837702691541j,
+        7919: -0.7986303377110036 + 0.2601594090694228j,
+        12500: -0.29124153731703506 + 0.7878921465501904j,
+        17321: 0.7902733074770356 + 0.2847817141095273j,
+        20000: -0.3085842946242247 - 0.7813055079557857j,
     }
     for k, want in frozen.items():
         assert abs(u[k] - want) <= 1e-13, k

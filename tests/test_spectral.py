@@ -376,6 +376,87 @@ def test_two_bound_states_frozen():
         assert s.residue == pytest.approx(z, rel=1e-12)
 
 
+def _semicircle_roots_mp(eta, eps0, v0, eps_on):
+    """The semicircle's bound energies to 40 digits, as the roots of the
+    squared level equation: in units of v0, with x = E - eps0,
+    y = eps_on - eps0, c = eta^2/2 and r = 2,
+    (2c - 1) x^2 + 2 (1 - c) y x - (y^2 + c^2 r^2) = 0, kept where
+    |x| > r and x - y - c (x - sign(x) sqrt(x^2 - r^2)) = 0."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    c, y, r = mp.mpf(eta) ** 2 / 2, (mp.mpf(eps_on) - eps0) / v0, mp.mpf(2)
+    a2, a1, a0 = 2 * c - 1, 2 * (1 - c) * y, -(y * y + c * c * r * r)
+    if a2 == 0:
+        xs = [-a0 / a1]
+    else:
+        root = mp.sqrt(a1 * a1 - 4 * a2 * a0)
+        xs = [(-a1 + root) / (2 * a2), (-a1 - root) / (2 * a2)]
+    return sorted(eps0 + v0 * x for x in xs if abs(x) > r and abs(
+        (1 - c) * x - y + c * mp.sign(x) * mp.sqrt(x * x - r * r))
+        <= mp.mpf(10) ** -30 * abs(x))
+
+
+def _assert_on_its_float(sd, eps_on, e):
+    # e is the one of the two adjacent floats around phi's sign change
+    # where |phi| is smaller
+    phi = lambda x: x - eps_on - sd.shift(x)
+    down, up = math.nextafter(e, -math.inf), math.nextafter(e, math.inf)
+    assert ((phi(e) < 0.0 <= phi(up) and abs(phi(e)) <= abs(phi(up)))
+            or (phi(down) < 0.0 <= phi(e)
+                and abs(phi(e)) <= abs(phi(down)))), e
+
+
+# a table symmetric about 0, so the gap's state sits at 0 up to the
+# shift's rounding, where halving the distance would take ~1100 steps
+SYMMETRIC_TWO_BAND = Tabulated((-3.0, -2.0, -1.0, 1.0, 2.0, 3.0),
+                               (0.0, 1.0, 0.0, 0.0, 1.0, 0.0),
+                               ((-3.0, -1.0), (1.0, 3.0)))
+
+
+@pytest.mark.parametrize("sd, eps_on", [
+    (Semicircle(eta=1.0), 2.5), (Semicircle(eta=2.5), 0.5),
+    # eps0 rounds into E - eps0, so each state lies further from 0 than
+    # from eps0 (at eps0 -1.25, v0 0.5, eta 1.7, level -0.9 the state at
+    # -0.083 is 3.3 of its own ulps off, 0.2 of those of E - eps0)
+    (Semicircle(eta=0.6, eps0=0.3, v0=1.5), 3.7),
+    (Semicircle(eta=1.7, eps0=1.25, v0=0.5), 3.0),
+    (Semicircle(eta=0.8, eps0=-4.0, v0=2.0), -9.0),
+    (Semicircle(eta=1.3, eps0=5.0, v0=0.25), 5.1),
+    (Semicircle(eta=1.0), 1.0 + 1e-5),
+    (Semicircle(eta=1.0), 1e300), (Semicircle(eta=1.0), -1e300),
+    (SYMMETRIC_TWO_BAND, 0.0)])
+def test_bound_states_are_bisected_to_their_float(monkeypatch, sd, eps_on):
+    # every root takes at most 64 evaluations of phi, wherever it lies
+    args = []
+    shift = type(sd).shift
+
+    def counted(self, e):
+        args.append(e)
+        return shift(self, e)
+
+    monkeypatch.setattr(type(sd), "shift", counted)
+    states = find_bound_states(sd, eps_on)
+    monkeypatch.undo()
+    edges = [-math.inf, *(e for lohi in sd.band for e in lohi), math.inf]
+    gaps = list(zip(edges[::2], edges[1::2]))
+    for s in states:
+        _assert_on_its_float(sd, eps_on, s.energy)
+        (lo, hi), = [(lo, hi) for lo, hi in gaps if lo < s.energy < hi]
+        assert sum(lo < e < hi for e in args) <= 64
+    if isinstance(sd, Tabulated):
+        (state,) = states
+        assert abs(state.energy) <= 1e-16
+        return
+    want = _semicircle_roots_mp(sd.eta, sd.eps0, sd.v0, eps_on)
+    assert len(states) == len(want)
+    for s, e in zip(states, want):
+        assert abs(s.energy - e) <= math.ulp(s.energy), (s.energy, e)
+    if (sd.eta, eps_on) == (1.0, 2.5):
+        # the README state, E = (y^2 + 1)/y and Z = 1 - 1/y^2 at y = 2.5
+        assert states == [BoundState(2.9, 0.84)]
+
+
 @pytest.mark.parametrize("eps_on", [50.0, -50.0])
 def test_bound_state_far_outside_band(eps_on):
     # E + sqrt(E^2 - 4) = 2 eps_on gives E = e + 1/e and Z = 1 - 1/e^2
@@ -564,15 +645,14 @@ NEAR_TABLE = Tabulated(
       for k in (3, 4, 5, 6) for side in (1, -1)),
     ("semicircle", -1e-7, 1e-10),
     # the floor of floats, not of the quadrature: 1e-14 past the edge the
-    # root's rounding moves Z ~ 2e-7 by 2.3e-9, and a level 1e-9 or
+    # root's float moves Z ~ 2e-7 by 2.1e-9, and a level 1e-9 or
     # 1e-11 inside leaves its peak below the float spacing at the edge,
     # where node positions and J round (-6.0e-9 and -6.9e-9)
     ("semicircle", 1e-7, 1e-8), ("semicircle", -1e-9, 1e-8),
     ("semicircle", -1e-11, 1e-8),
     *(("table", offset, 1e-10) for offset in (1e-3, -1e-3, 1e-5, -1e-7)),
-    # the root, bisected to TOL_ROOT, moves Z by 9.9e-10 (Z' is 7e3 there);
     # at 1e-7 inside, the shift's rounding leaves phi 1e-9 relative noise
-    ("table", -1e-5, 2e-9), ("table", 1e-7, 1e-9)])
+    ("table", -1e-5, 1e-10), ("table", 1e-7, 1e-9)])
 def test_sums_near_a_threshold_converge(band_nodes, which, offset, sum_tol):
     # the continuum weight peaks within phi(edge)^2 (a semicircle) or
     # about phi(edge) (a table edge with J = 0) of the edge; the edge
